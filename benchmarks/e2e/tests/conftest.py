@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the program importable in-process."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parents[1]
+
+for path in (str(BENCH), str(ROOT / "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
