@@ -233,11 +233,13 @@ class MigrationExecutor:
         source.store.merge_counts(stored_counts)
         if len(queued):
             source.queue.push(queued)
-        snapshot = source.store.counts_snapshot()
+        n = len(stored_counts)
+        keys = np.fromiter(stored_counts.keys(), np.int64, n)
+        expected = np.fromiter(stored_counts.values(), np.int64, n)
+        live = source.store.match_counts(keys)
         wrong = {
-            k: (snapshot.get(k, 0), c)
-            for k, c in stored_counts.items()
-            if snapshot.get(k, 0) != c
+            int(keys[i]): (int(live[i]), int(expected[i]))
+            for i in np.flatnonzero(live != expected).tolist()
         }
         if wrong:
             faults = self.faults

@@ -364,14 +364,14 @@ class ElasticController:
         guard; the post-drain empty-queue check would catch a violation.
         """
         if victim.crashed:
-            stored = victim.checkpointer.rebuild_counts()
+            stored, _ = victim.checkpointer.rebuild_arrays()
         else:
-            stored = victim.store.counts_snapshot()
+            stored, _ = victim.store.nonzero_counts()
         keys = {
             int(k) for k, t in routing.overrides_snapshot().items()
             if t == victim.instance_id
         }
-        keys.update(int(k) for k in stored)
+        keys.update(stored.tolist())
         return keys
 
     def _group_by_home(

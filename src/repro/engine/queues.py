@@ -120,18 +120,23 @@ class TupleQueue:
         keys, _, ops = self._live()
         return int(np.count_nonzero((keys == int(key)) & (ops == OP_PROBE)))
 
-    def probe_counts_snapshot(self) -> dict[int, int]:
-        """Per-key probe backlog (keys with zero count omitted).
+    def probe_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-key probe backlog as sorted ``(keys, counts)`` int64 arrays
+        (keys with zero count omitted).
 
         Computed by scanning the live region — called when the monitor
         plans a migration, not on the datapath.
         """
         if self._size == 0 or self._n_probes == 0:
-            return {}
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys, _, ops = self._live()
-        probe_keys = keys[ops == OP_PROBE]
-        uniq, counts = np.unique(probe_keys, return_counts=True)
-        return dict(zip(uniq.tolist(), counts.tolist()))
+        uniq, counts = np.unique(keys[ops == OP_PROBE], return_counts=True)
+        return uniq, counts.astype(np.int64, copy=False)
+
+    def probe_counts_snapshot(self) -> dict[int, int]:
+        """:meth:`probe_counts` as a dict (validation and tests only)."""
+        keys, counts = self.probe_counts()
+        return dict(zip(keys.tolist(), counts.tolist()))
 
     def earliest_time(self) -> float | None:
         """Smallest visible-time among queued tuples (None when empty).

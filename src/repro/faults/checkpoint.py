@@ -10,11 +10,16 @@ order: the crash-time store is exactly
 
     checkpoint counts  +  every store-op key consumed since the checkpoint
 
-which is what :meth:`InstanceCheckpointer.rebuild_counts` computes.  The
+which is what :meth:`InstanceCheckpointer.rebuild_arrays` computes.  The
 instance records each consumed store batch into the WAL on its hot path
 (:meth:`record_stores`), and a checkpoint atomically snapshots the live
 counts, truncates the WAL and notes the queue watermark
 (:attr:`~repro.engine.queues.TupleQueue.consumed_total`).
+
+The checkpoint image is a pair of sorted int64 arrays (``keys``,
+``counts``) taken straight from the store's dense table — one
+``flatnonzero`` and one gather, no Python object per key — so a periodic
+checkpoint costs a scan of the table, not a dict of every stored key.
 
 Migrations mutate stores *outside* the consume path, so the migration
 executor forces a checkpoint of both parties at commit — making
@@ -31,16 +36,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
+from ..join.storage import sorted_union
 
 __all__ = ["InstanceCheckpointer"]
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
 
 class InstanceCheckpointer:
-    """Checkpoint + WAL + crash flag for one :class:`JoinInstance`."""
+    """Checkpoint + WAL + crash flag for one :class:`JoinInstance`.
+
+    ``keys`` / ``counts`` hold the checkpoint image.  They are replaced
+    wholesale by every checkpoint and never mutated in place, so handing
+    them out (state export, the empty-WAL rebuild) needs no copy.
+    """
 
     def __init__(self, inst) -> None:
         self.inst = inst
-        self.counts: dict[int, int] = {}
+        self.keys: np.ndarray = _EMPTY
+        self.counts: np.ndarray = _EMPTY
         self.wal: list[np.ndarray] = []
         self.watermark: int = 0
         self.crashed = False
@@ -73,21 +88,35 @@ class InstanceCheckpointer:
                 f"checkpoint of crashed instance {self.inst.side}"
                 f"{self.inst.instance_id}"
             )
-        self.counts = self.inst.store.counts_snapshot()
+        keys, counts = self.inst.store.nonzero_counts()
+        keys.flags.writeable = False
+        counts.flags.writeable = False
+        self.keys = keys
+        self.counts = counts
         self.wal.clear()
         self.watermark = self.inst.queue.consumed_total
         self.last_checkpoint_time = now
         self.n_checkpoints += 1
-        return sum(self.counts.values())
+        return int(counts.sum())
+
+    def rebuild_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Crash-time store contents: checkpoint + WAL as sorted, zero-free
+        ``(keys, counts)`` arrays, accumulated exactly in int64."""
+        if not self.wal:
+            return self.keys, self.counts
+        wal_keys, wal_counts = np.unique(
+            np.concatenate(self.wal), return_counts=True
+        )
+        keys, at_image, at_wal = sorted_union(self.keys, wal_keys)
+        counts = np.zeros(keys.shape[0], dtype=np.int64)
+        counts[at_image] = self.counts
+        counts[at_wal] += wal_counts
+        return keys, counts
 
     def rebuild_counts(self) -> dict[int, int]:
-        """Crash-time store contents: checkpoint + WAL, zero-free."""
-        rebuilt = dict(self.counts)
-        for block in self.wal:
-            uniq, counts = np.unique(block, return_counts=True)
-            for k, c in zip(uniq.tolist(), counts.tolist()):
-                rebuilt[k] = rebuilt.get(k, 0) + c
-        return {k: c for k, c in rebuilt.items() if c}
+        """:meth:`rebuild_arrays` as a dict (crash-time hand-offs)."""
+        keys, counts = self.rebuild_arrays()
+        return dict(zip(keys.tolist(), counts.tolist()))
 
     # -- crash / recovery ----------------------------------------------- #
 
@@ -104,12 +133,12 @@ class InstanceCheckpointer:
         Returns the number of restored tuples (drives the restore-cost
         pause charged by the injector).
         """
-        rebuilt = self.rebuild_counts()
-        self.inst.store.merge_counts(rebuilt)
+        keys, counts = self.rebuild_arrays()
+        self.inst.store.merge_arrays(keys, counts)
         self.crashed = False
         self.n_recoveries += 1
         self.checkpoint(now)
-        return sum(rebuilt.values())
+        return int(counts.sum())
 
     def recover_empty(self, now: float) -> None:
         """Rejoin with a fresh, empty store (after a failover moved the
@@ -127,7 +156,8 @@ class InstanceCheckpointer:
         checkpointer already bound to the right instance.
         """
         return {
-            "counts": dict(self.counts),
+            "keys": self.keys,
+            "counts": self.counts,
             "wal": [block.copy() for block in self.wal],
             "watermark": self.watermark,
             "crashed": self.crashed,
@@ -137,7 +167,8 @@ class InstanceCheckpointer:
         }
 
     def import_state(self, state: dict) -> None:
-        self.counts = dict(state["counts"])
+        self.keys = state["keys"]
+        self.counts = state["counts"]
         self.wal = list(state["wal"])
         self.watermark = int(state["watermark"])
         self.crashed = bool(state["crashed"])
@@ -161,9 +192,14 @@ class InstanceCheckpointer:
                     "tuples; crash must destroy the volatile store"
                 )
             return None
-        rebuilt = self.rebuild_counts()
-        live = self.inst.store.counts_snapshot()
-        if rebuilt != live:
+        keys, counts = self.rebuild_arrays()
+        live_keys, live_counts = self.inst.store.nonzero_counts()
+        if not (
+            np.array_equal(keys, live_keys)
+            and np.array_equal(counts, live_counts)
+        ):
+            rebuilt = dict(zip(keys.tolist(), counts.tolist()))
+            live = dict(zip(live_keys.tolist(), live_counts.tolist()))
             extra = {k: c for k, c in live.items() if rebuilt.get(k) != c}
             missing = {k: c for k, c in rebuilt.items() if live.get(k) != c}
             return (

@@ -29,7 +29,7 @@ from ..engine.cost import CostModel, IndexedCost, ScanCost
 from ..engine.queues import TupleQueue
 from ..engine.tuples import OP_PROBE, OP_STORE, Batch
 from ..errors import ConfigError, StorageError
-from .storage import KeyedStore
+from .storage import KeyedStore, sorted_union
 from .window import WindowedStore
 
 __all__ = ["JoinInstance", "ServiceReport"]
@@ -842,19 +842,19 @@ class JoinInstance:
         the live region.  O(state) — called by invariant guards, never by
         the datapath.
         """
-        counts = self.store.counts_snapshot()
-        if sum(counts.values()) != self.store.total:
+        counts = self.store.nonzero_counts()[1]
+        if int(counts.sum()) != self.store.total:
             raise StorageError(
                 f"instance {self.instance_id}/{self.side}: store total "
                 f"{self.store.total} != sum of per-key counts "
-                f"{sum(counts.values())}"
+                f"{int(counts.sum())}"
             )
-        if any(c < 0 for c in counts.values()):
+        if (counts < 0).any():
             raise StorageError(
                 f"instance {self.instance_id}/{self.side}: negative stored "
                 "count"
             )
-        recount = sum(self.queue.probe_counts_snapshot().values())
+        recount = int(self.queue.probe_counts()[1].sum())
         if recount != self.queue.probe_backlog:
             raise StorageError(
                 f"instance {self.instance_id}/{self.side}: probe backlog "
@@ -868,12 +868,13 @@ class JoinInstance:
         with a huge backlog but few stored tuples is still a candidate (its
         migration key factor is large — Definition 2).
         """
-        stored_counts = self.store.counts_snapshot()
-        probe_counts = self.queue.probe_counts_snapshot()
-        all_keys = sorted(set(stored_counts) | set(probe_counts))
-        keys = np.array(all_keys, dtype=np.int64)
-        key_stored = np.array([stored_counts.get(k, 0) for k in all_keys], dtype=np.int64)
-        key_backlog = np.array([probe_counts.get(k, 0) for k in all_keys], dtype=np.int64)
+        stored_keys, stored_counts = self.store.nonzero_counts()
+        probe_keys, probe_counts = self.queue.probe_counts()
+        keys, at_stored, at_probe = sorted_union(stored_keys, probe_keys)
+        key_stored = np.zeros(keys.shape[0], dtype=np.int64)
+        key_stored[at_stored] = stored_counts
+        key_backlog = np.zeros(keys.shape[0], dtype=np.int64)
+        key_backlog[at_probe] = probe_counts
         return SelectionProblem(
             stored_i=self.store.total,
             backlog_i=self.queue.probe_backlog,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import StorageError
 
-__all__ = ["KeyedStore", "DENSE_KEY_CAP"]
+__all__ = ["KeyedStore", "DENSE_KEY_CAP", "sorted_union"]
 
 #: keys in [0, DENSE_KEY_CAP) live in the dense array; others in the
 #: overflow dict.  At the cap the dense table costs 32 MB — large, but
@@ -43,6 +43,24 @@ def _grow_to(size: int) -> int:
     while cap < size:
         cap <<= 1
     return min(cap, DENSE_KEY_CAP)
+
+
+def sorted_union(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union of two sorted, duplicate-free int64 key arrays.
+
+    Returns ``(keys, pos_a, pos_b)`` with ``keys[pos_a] == a`` and
+    ``keys[pos_b] == b``, so per-key counts of either side scatter onto
+    the union.  The concatenation is two sorted runs, which the stable
+    sort merges in one linear pass (``np.union1d`` sorts from scratch and
+    is several times slower on a store-sized array).
+    """
+    keys = np.concatenate([a, b])
+    keys.sort(kind="stable")
+    if keys.shape[0] > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys, np.searchsorted(keys, a), np.searchsorted(keys, b)
 
 
 class KeyedStore:
@@ -87,15 +105,35 @@ class KeyedStore:
             return 0
         return self._overflow.get(key, 0)
 
-    def counts_snapshot(self) -> dict[int, int]:
-        """Copy of the per-key counts (only keys with positive counts)."""
-        nz = np.nonzero(self._dense)[0]
-        out = dict(zip(nz.tolist(), self._dense[nz].tolist()))
-        out.update(self._overflow)
-        return out
+    def nonzero_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, counts)``: every key with a positive count, ascending.
 
-    def keys(self) -> list[int]:
-        return list(np.nonzero(self._dense)[0].tolist()) + list(self._overflow)
+        Two fresh int64 arrays that never alias the dense table, so a
+        checkpoint image taken from them is unaffected by later mutation.
+        The dense part costs one ``flatnonzero`` and one gather; only
+        overflow keys (rare) touch Python.
+        """
+        # flatnonzero of the bool mask, not of the int64 table: about 4x
+        # faster on a sparsely filled table.
+        keys = np.flatnonzero(self._dense != 0).astype(np.int64, copy=False)
+        counts = self._dense[keys]
+        if self._overflow:
+            over = self._overflow
+            keys = np.concatenate(
+                [keys, np.fromiter(over.keys(), np.int64, len(over))]
+            )
+            counts = np.concatenate(
+                [counts, np.fromiter(over.values(), np.int64, len(over))]
+            )
+            order = np.argsort(keys)
+            keys = keys[order]
+            counts = counts[order]
+        return keys, counts
+
+    def counts_snapshot(self) -> dict[int, int]:
+        """Per-key counts as a dict (validation and tests only)."""
+        keys, counts = self.nonzero_counts()
+        return dict(zip(keys.tolist(), counts.tolist()))
 
     def match_counts(
         self,
@@ -240,10 +278,37 @@ class KeyedStore:
 
     def merge_counts(self, counts: dict[int, int]) -> None:
         """Absorb migrated tuples (target side of Algorithm 2)."""
-        for k, c in counts.items():
-            if c < 0:
-                raise StorageError(f"negative migrated count for key {k}")
-            self.add(int(k), c)
+        if counts:
+            n = len(counts)
+            self.merge_arrays(
+                np.fromiter(counts.keys(), np.int64, n),
+                np.fromiter(counts.values(), np.int64, n),
+            )
+
+    def merge_arrays(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts[i]`` tuples of ``keys[i]`` for every ``i``.
+
+        Exactly a per-key :meth:`add` loop, including dense-table growth
+        (a zero count still grows the table to cover its key), but one
+        ``np.add.at`` for the dense part.  Rejects the whole batch before
+        mutating anything if any count is negative.
+        """
+        if keys.shape[0] == 0:
+            return
+        if int(counts.min()) < 0:
+            bad = int(keys[np.flatnonzero(counts < 0)[0]])
+            raise StorageError(f"negative migrated count for key {bad}")
+        self._total += int(counts.sum())
+        dense = (keys >= 0) & (keys < DENSE_KEY_CAP)
+        if not dense.all():
+            table = self._overflow
+            for k, c in zip(keys[~dense].tolist(), counts[~dense].tolist()):
+                if c:
+                    table[k] = table.get(k, 0) + c
+            keys, counts = keys[dense], counts[dense]
+        if keys.shape[0]:
+            self._ensure(int(keys.max()))
+            np.add.at(self._dense, keys, counts)
 
     def evict_counts(self, counts: dict[int, int]) -> None:
         """Subtract per-key counts (window expiry, paper section III-E)."""

@@ -83,11 +83,11 @@ class WindowedStore:
     def count(self, key: int) -> int:
         return self._store.count(key)
 
+    def nonzero_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._store.nonzero_counts()
+
     def counts_snapshot(self) -> dict[int, int]:
         return self._store.counts_snapshot()
-
-    def keys(self) -> list[int]:
-        return self._store.keys()
 
     def match_counts(
         self,

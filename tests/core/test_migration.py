@@ -7,7 +7,7 @@ from repro.core.migration import MigrationCostModel, MigrationExecutor
 from repro.core.routing import RoutingTable
 from repro.core.selection import GreedyFit
 from repro.engine.tuples import Batch
-from repro.errors import ConfigError, MigrationError
+from repro.errors import ConfigError, MigrationError, ValidationError
 from repro.join.instance import JoinInstance
 
 
@@ -166,3 +166,32 @@ class TestMigrationEdgeCases:
         assert event is not None
         assert event.keys == tuple(sorted(routing.overrides_snapshot()))
         assert len(event.keys) == event.n_keys
+
+
+class TestRollbackCheck:
+    """The transfer-abort rollback re-reads the rolled-back keys' counts."""
+
+    def _rollback(self, source, stored_counts):
+        MigrationExecutor(RoutingTable(2))._rollback(
+            "R", source, set(stored_counts), stored_counts,
+            probes([]), 0.0,
+        )
+
+    def test_clean_rollback_restores_counts(self):
+        src, _ = loaded_pair()
+        removed = src.store.remove_keys({1, 3})
+        self._rollback(src, removed)
+        assert src.store.count(1) == 50 and src.store.count(3) == 20
+
+    def test_leftover_counts_raise_replayable_error(self):
+        src, _ = loaded_pair()
+        src.store.add(-7, 2)
+        src.store.remove_keys({1})
+        # keys 2 and -7 were never extracted: the merge doubles them
+        with pytest.raises(ValidationError) as exc_info:
+            self._rollback(src, {1: 50, 2: 30, -7: 2})
+        exc = exc_info.value
+        assert exc.invariant == "migration-abort"
+        assert "2 key(s)" in str(exc)
+        assert "2: (60, 30)" in str(exc) and "-7: (4, 2)" in str(exc)
+        assert exc.context["n_keys"] == 3

@@ -115,20 +115,50 @@ class TestDeterminism:
         assert a_h.runtime.faults.log == b_h.runtime.faults.log
 
 
+def _guarded_runtime():
+    """A faulted fastjoin runtime after 120 ticks, plus detached guards
+    that pass on it."""
+    harness = DifferentialHarness(
+        "fastjoin", seed=3, ticks=120, n_instances=4,
+        tuples_per_stream=2_400, fault_spec="ckpt=0.25", guards=False,
+    )
+    for _ in range(120):
+        harness.runtime.step()
+    guards = InvariantGuards(seed=3, config=GuardConfig())
+    guards._runtime = harness.runtime
+    guards.check_recovery(harness.runtime)          # clean: no raise
+    return harness.runtime, guards
+
+
+def _drop_a_stored_key(store):
+    key = next(iter(store.counts_snapshot()))
+    assert store.remove_keys({key})
+
+
 class TestRecoveryGuard:
     def test_guard_catches_store_checkpoint_divergence(self):
         """A store mutation that bypasses the WAL breaks the standing
         invariant live == checkpoint + WAL; check_recovery must fire."""
-        harness = DifferentialHarness(
-            "fastjoin", seed=3, ticks=120, n_instances=4,
-            tuples_per_stream=2_400, fault_spec="ckpt=0.25", guards=False,
-        )
-        for _ in range(120):
-            harness.runtime.step()
-        guards = InvariantGuards(seed=3, config=GuardConfig())
-        guards._runtime = harness.runtime
-        guards.check_recovery(harness.runtime)          # clean: no raise
-        harness.runtime.instances[0].store.merge_counts({999_983: 3})
+        runtime, guards = _guarded_runtime()
+        runtime.instances[0].store.merge_counts({999_983: 3})
         with pytest.raises(ValidationError) as exc_info:
-            guards.check_recovery(harness.runtime)
+            guards.check_recovery(runtime)
+        assert exc_info.value.invariant == "recovery-consistency"
+
+    @pytest.mark.parametrize(
+        "diverge",
+        [
+            pytest.param(lambda s: s.merge_counts({-7: 3}), id="negative-key"),
+            pytest.param(lambda s: s.merge_counts({1 << 23: 2}),
+                         id="beyond-dense-cap"),
+            pytest.param(_drop_a_stored_key, id="dense-count-down"),
+        ],
+    )
+    def test_guard_catches_overflow_and_shrinking_divergence(self, diverge):
+        """Overflow keys live outside the dense table and a count can go
+        down as well as up: the array comparison must see both."""
+        runtime, guards = _guarded_runtime()
+        diverge(runtime.instances[0].store)
+        with pytest.raises(ValidationError) as exc_info:
+            guards.check_recovery(runtime)
         assert exc_info.value.invariant == "recovery-consistency"

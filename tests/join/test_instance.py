@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.cost import IndexedCost, ScanCost
 from repro.engine.tuples import OP_PROBE, OP_STORE, Batch
 from repro.errors import ConfigError
 from repro.join.instance import JoinInstance
+from repro.join.storage import DENSE_KEY_CAP
 from repro.join.window import WindowedStore
+
+#: dense keys plus overflow keys on both sides of the dense table
+KEYS = st.one_of(st.integers(0, 30), st.sampled_from([-3, DENSE_KEY_CAP + 1]))
 
 
 def stores(keys, t=0.0):
@@ -146,6 +152,28 @@ class TestMonitoringHooks:
         i2 = keys.index(2)
         assert prob.key_stored[i2] == 0
         assert prob.key_backlog[i2] == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stored=st.lists(KEYS, max_size=40),
+        probed=st.lists(KEYS, max_size=40),
+    )
+    def test_selection_problem_matches_dict_reference(self, stored, probed):
+        """The array-built problem equals the one built from per-key dicts."""
+        a = make_instance()
+        b = JoinInstance(1, capacity=1000.0, backlog_smoothing_tau=0.0)
+        a.store.add_batch(np.array(stored, dtype=np.int64))
+        if probed:
+            a.enqueue(probes(probed))
+        prob = a.selection_problem(b)
+        s = a.store.counts_snapshot()
+        p = a.queue.probe_counts_snapshot()
+        keys = sorted(set(s) | set(p))
+        assert prob.keys.dtype == prob.key_stored.dtype == np.int64
+        assert prob.key_backlog.dtype == np.int64
+        assert prob.keys.tolist() == keys
+        assert prob.key_stored.tolist() == [s.get(k, 0) for k in keys]
+        assert prob.key_backlog.tolist() == [p.get(k, 0) for k in keys]
 
     def test_extract_and_accept_migration(self):
         src = make_instance()
