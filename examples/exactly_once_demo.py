@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.join.exact import ExactBiclique
+from repro.join.exact import ExactBiclique, join_product
 
 
 def main() -> None:
@@ -45,13 +45,13 @@ def main() -> None:
 
     engine.drain(now + 10.0)
     ok, message = engine.check_exactly_once()
-    n_expected = len(engine.expected_pairs())
 
-    print(f"tuples ingested : {engine._uid_counters['R']} R + "
-          f"{engine._uid_counters['S']} S")
+    print(f"tuples ingested : {len(engine.uid_keys['R'])} R + "
+          f"{len(engine.uid_keys['S'])} S")
     print(f"migrations fired: {migrations} (mid-stream, adversarial timing)")
+    n_expected = join_product(engine.uid_keys["R"], engine.uid_keys["S"])
     print(f"expected pairs  : {n_expected}")
-    print(f"emitted pairs   : {len(engine.pairs)}")
+    print(f"emitted pairs   : {engine.n_pairs}")
     print(f"verdict         : {message}")
     assert ok, message
 

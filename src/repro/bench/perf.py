@@ -276,8 +276,13 @@ def run_profile(
     return out
 
 
-def machine_metadata() -> dict:
-    """Context a baseline number is meaningless without."""
+def machine_metadata(shards: int | None = None) -> dict:
+    """Context a baseline number is meaningless without: the host, the
+    kernel path (:func:`repro.engine.ckernels.describe`) and the shard
+    count a ``shards`` request runs with on this host."""
+    from ..engine import ckernels
+    from ..engine.shard import effective_shards
+
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -285,6 +290,8 @@ def machine_metadata() -> dict:
         "machine": platform.machine(),
         "processor": platform.processor() or "unknown",
         "cpu_count": os.cpu_count() or 1,
+        **ckernels.describe(),
+        "shards": effective_shards(shards)[0],
     }
 
 
@@ -398,7 +405,7 @@ def run_matrix(
         "repeats": repeats,
         "jobs": njobs,
         "shards": int(shards) if shards is not None else 1,
-        "machine": machine_metadata(),
+        "machine": machine_metadata(shards),
         "cases": results,
     }
 

@@ -214,3 +214,13 @@ except Exception:  # pragma: no cover - any toolchain failure => fallback
 def available() -> bool:
     """Whether the compiled kernels are usable in this process."""
     return lib is not None
+
+
+def describe() -> dict:
+    """The kernel path of this process, for run and bench metadata:
+    whether the C kernels are in use, and whether ``REPRO_NO_CKERNELS``
+    switched them off (``False``/``False`` means the build failed)."""
+    return {
+        "ckernels": available(),
+        "ckernels_disabled": bool(os.environ.get("REPRO_NO_CKERNELS")),
+    }

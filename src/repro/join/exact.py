@@ -20,12 +20,18 @@ same ordering rules as the performance engine:
 Tests fuzz this engine with random workloads and adversarial migration
 timing and assert the output pair multiset is exactly
 ``{(r, s) : r.key == s.key}`` with multiplicity one.
+
+The bookkeeping around the tuple-level queues is columnar: a block of
+tuples is routed with one hash call, every emitted pair is appended to two
+flat uid logs, and :func:`exactly_once` proves the multiset identity with
+array passes (see its docstring for why three checks suffice).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +40,16 @@ from ..engine.rng import hash_to_instance
 from ..errors import MigrationError
 from .dispatcher import opposite
 
-__all__ = ["ExactTuple", "ExactInstance", "ExactBiclique"]
+__all__ = [
+    "ExactTuple",
+    "ExactInstance",
+    "ExactBiclique",
+    "exactly_once",
+    "join_product",
+]
 
 
-@dataclass(frozen=True)
-class ExactTuple:
+class ExactTuple(NamedTuple):
     """A queued operation in the exact engine."""
 
     stream: str      # which stream the tuple belongs to ("R"/"S")
@@ -58,31 +69,31 @@ class ExactInstance:
         self.store: dict[int, list[int]] = defaultdict(list)
         self.paused_until = 0.0
 
-    def enqueue(self, t: ExactTuple) -> None:
-        self.queue.append(t)
-
     def stored_total(self) -> int:
         return sum(len(v) for v in self.store.values())
 
-    def step(self, now: float, emit) -> int:
+    def step(self, now: float, r_log: list[int], s_log: list[int]) -> int:
         """Serve every visible tuple at the queue head; return count served.
 
-        ``emit(r_uid, s_uid)`` is called once per joined pair.
+        Each joined pair ``(r_uid, s_uid)`` is appended to ``r_log`` and
+        ``s_log`` at the same position.
         """
         if now < self.paused_until:
             return 0
+        # R-side instances store R tuples and are probed by S tuples.
+        stored_log, probe_log = (r_log, s_log) if self.side == "R" else (s_log, r_log)
+        queue = self.queue
+        store = self.store
         served = 0
-        while self.queue and self.queue[0].visible_at <= now:
-            t = self.queue.popleft()
+        while queue and queue[0].visible_at <= now:
+            t = queue.popleft()
             if t.op == "store":
-                self.store[t.key].append(t.uid)
+                store[t.key].append(t.uid)
             else:
-                for stored_uid in self.store.get(t.key, ()):  # join
-                    if self.side == "R":
-                        # R-side stores R; the probe tuple is from S
-                        emit(stored_uid, t.uid)
-                    else:
-                        emit(t.uid, stored_uid)
+                matches = store.get(t.key)
+                if matches:
+                    stored_log.extend(matches)
+                    probe_log.extend(repeat(t.uid, len(matches)))
             served += 1
         return served
 
@@ -107,11 +118,9 @@ class ExactInstance:
     ) -> None:
         for k, uids in stored.items():
             self.store[k].extend(uids)
-        for t in queued:
-            self.enqueue(
-                ExactTuple(t.stream, t.key, t.uid, t.op,
-                           max(t.visible_at, visible_at))
-            )
+        self.queue.extend(
+            t._replace(visible_at=max(t.visible_at, visible_at)) for t in queued
+        )
 
 
 class ExactBiclique:
@@ -133,47 +142,71 @@ class ExactBiclique:
             for side in ("R", "S")
         }
         self.routing = {side: RoutingTable(n_instances) for side in ("R", "S")}
-        self.pairs: list[tuple[int, int]] = []
-        self._uid_counters = {"R": 0, "S": 0}
-        self._emitted: dict[str, list[tuple[int, int]]] = {"R": [], "S": []}
+        # joined pairs: (pair_r[i], pair_s[i]) is the i-th emitted pair
+        self.pair_r: list[int] = []
+        self.pair_s: list[int] = []
+        # key of every ingested tuple, indexed by its uid
+        self.uid_keys: dict[str, list[int]] = {"R": [], "S": []}
+
+    @property
+    def n_pairs(self) -> int:
+        """Joined pairs emitted so far."""
+        return len(self.pair_r)
 
     # -- data path ------------------------------------------------------- #
 
+    def _targets(self, side: str, keys: np.ndarray) -> np.ndarray:
+        """Instance of each key on ``side``: routing override, else hash."""
+        return self.routing[side].apply(keys, hash_to_instance(keys, self.n))
+
     def _route(self, side: str, key: int) -> int:
-        override = self.routing[side].target_of(key)
-        if override is not None:
-            return override
-        return int(hash_to_instance(np.array([key]), self.n)[0])
+        return int(self._targets(side, np.array([key], dtype=np.int64))[0])
+
+    def ingest_many(
+        self,
+        stream: str,
+        keys: np.ndarray,
+        now: float,
+        extra_delay: float = 0.0,
+    ) -> range:
+        """Dispatch a block of ``stream`` tuples in order; returns their uids.
+
+        Equivalent to one :meth:`ingest` per key: each tuple's store and
+        probe reach the routed instances' queues in block order.
+        ``extra_delay`` mirrors a fault-injected batch delay: the tuples
+        are emitted at ``now`` but become visible ``extra_delay`` seconds
+        later than the normal dispatch delay allows (the performance
+        engine's ``Dispatcher.dispatch(extra_delay=...)``).
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        key_list = keys.tolist()
+        log = self.uid_keys[stream]
+        uids = range(len(log), len(log) + len(key_list))
+        log.extend(key_list)
+        visible = now + self.delay + extra_delay
+        for side, op in ((stream, "store"), (opposite(stream), "probe")):
+            queues = [inst.queue for inst in self.groups[side]]
+            for dest, t in zip(
+                self._targets(side, keys).tolist(),
+                map(ExactTuple, repeat(stream), key_list, uids, repeat(op),
+                    repeat(visible)),
+            ):
+                queues[dest].append(t)
+        return uids
 
     def ingest(
         self, stream: str, key: int, now: float, extra_delay: float = 0.0
     ) -> int:
-        """Dispatch one tuple of ``stream``; returns its uid.
-
-        ``extra_delay`` mirrors a fault-injected batch delay: the tuple is
-        emitted at ``now`` but becomes visible ``extra_delay`` seconds
-        later than the normal dispatch delay allows (the performance
-        engine's ``Dispatcher.dispatch(extra_delay=...)``).
-        """
-        uid = self._uid_counters[stream]
-        self._uid_counters[stream] += 1
-        own, other = stream, opposite(stream)
-        visible = now + self.delay + extra_delay
-        self.groups[own][self._route(own, key)].enqueue(
-            ExactTuple(stream, key, uid, "store", visible)
-        )
-        self.groups[other][self._route(other, key)].enqueue(
-            ExactTuple(stream, key, uid, "probe", visible)
-        )
-        self._emitted[stream].append((uid, key))
-        return uid
+        """Dispatch one tuple of ``stream``; returns its uid."""
+        return self.ingest_many(
+            stream, np.array([key], dtype=np.int64), now, extra_delay
+        )[0]
 
     def step(self, now: float) -> int:
-        emit = self.pairs.append
         served = 0
         for side in ("R", "S"):
             for inst in self.groups[side]:
-                served += inst.step(now, lambda r, s: emit((r, s)))
+                served += inst.step(now, self.pair_r, self.pair_s)
         return served
 
     def drain(self, now: float, max_rounds: int = 10_000) -> None:
@@ -220,6 +253,17 @@ class ExactBiclique:
                 group.append(ExactInstance(len(group), side))
             self.routing[side].grow(len(group))
 
+    def owned_keys(self, side: str, source: int, keys) -> set[int]:
+        """The subset of ``keys`` that ``source`` currently owns on ``side``.
+
+        A key can only be migrated by the instance that owns it: the real
+        monitor builds the key set from the source's own statistics, so
+        foreign keys can never appear.  Migration enforces the same rule
+        through this filter.
+        """
+        arr = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        return set(arr[self._targets(side, arr) == source].tolist())
+
     def migrate(
         self,
         side: str,
@@ -240,10 +284,7 @@ class ExactBiclique:
         self.ensure_instances(max(source, target) + 1)
         if source == target:
             raise MigrationError("source and target must differ")
-        # A key can only be migrated by the instance that owns it: the real
-        # monitor builds the key set from the source's own statistics, so
-        # foreign keys can never appear.  Enforce the same invariant here.
-        keys = {k for k in keys if self._route(side, k) == source}
+        keys = self.owned_keys(side, source, keys)
         if not keys:
             return
         src = self.groups[side][source]
@@ -255,34 +296,86 @@ class ExactBiclique:
 
     # -- verification -------------------------------------------------------- #
 
-    def expected_pairs(self) -> dict[tuple[int, int], int]:
-        """Every (r_uid, s_uid) with matching keys, multiplicity one."""
-        by_key: dict[int, list[int]] = defaultdict(list)
-        for uid, key in self._emitted["R"]:
-            by_key[key].append(uid)
-        out: dict[tuple[int, int], int] = {}
-        for s_uid, key in self._emitted["S"]:
-            for r_uid in by_key.get(key, ()):  # cross product per key
-                out[(r_uid, s_uid)] = 1
-        return out
-
-    def observed_pairs(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = defaultdict(int)
-        for p in self.pairs:
-            out[p] += 1
-        return dict(out)
-
     def check_exactly_once(self) -> tuple[bool, str]:
         """Compare observed against expected; returns (ok, message)."""
-        expected = self.expected_pairs()
-        observed = self.observed_pairs()
-        missing = [p for p in expected if p not in observed]
-        extra = [p for p in observed if p not in expected]
-        dupes = [p for p, c in observed.items() if c > 1]
-        if missing:
-            return False, f"missing joins: {missing[:5]} (+{len(missing) - 5 if len(missing) > 5 else 0})"
-        if extra:
-            return False, f"spurious joins: {extra[:5]}"
-        if dupes:
-            return False, f"duplicate joins: {dupes[:5]}"
+        return exactly_once(
+            self.uid_keys["R"], self.uid_keys["S"], self.pair_r, self.pair_s
+        )
+
+
+# ------------------------------------------------------------------------ #
+# the exactly-once verdict
+# ------------------------------------------------------------------------ #
+
+
+def join_product(keys_r: np.ndarray, keys_s: np.ndarray) -> int:
+    """``sum_k |R_k| * |S_k|``: the size of the equi-join of two key arrays."""
+    uniq_r, count_r = np.unique(keys_r, return_counts=True)
+    uniq_s, count_s = np.unique(keys_s, return_counts=True)
+    _, ir, is_ = np.intersect1d(
+        uniq_r, uniq_s, assume_unique=True, return_indices=True
+    )
+    return int(np.dot(count_r[ir], count_s[is_]))
+
+
+def _pair_list(r: np.ndarray, s: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(r.tolist(), s.tolist()))
+
+
+def exactly_once(keys_r, keys_s, pair_r, pair_s) -> tuple[bool, str]:
+    """Is the logged pair multiset exactly ``{(r, s) : key_R[r] == key_S[s]}``?
+
+    ``keys_r[u]`` / ``keys_s[u]`` is the key of the R / S tuple with uid
+    ``u``; ``(pair_r[i], pair_s[i])`` is the i-th joined pair.  Three array
+    checks decide the verdict:
+
+    1. every pair matches: both uids are in range and ``key_R[r] ==
+       key_S[s]`` — so the observed pairs are a sub-multiset of the
+       expected set ``E``;
+    2. no pair code ``r * |S| + s`` repeats — so they form a *set*;
+    3. the pair count equals ``|E| = sum_k |R_k| * |S_k|``.
+
+    A subset of ``E`` with ``|E|`` elements is ``E`` itself, so the three
+    together are exactly "every matching pair joined exactly once".  On
+    failure the message names the first five missing, spurious or
+    duplicate pairs (in that priority), in the order a per-pair scan
+    would list them.
+    """
+    key_r = np.asarray(keys_r, dtype=np.int64)
+    key_s = np.asarray(keys_s, dtype=np.int64)
+    r = np.asarray(pair_r, dtype=np.int64)
+    s = np.asarray(pair_s, dtype=np.int64)
+    n_r, n_s = key_r.shape[0], key_s.shape[0]
+    matched = (r >= 0) & (r < n_r) & (s >= 0) & (s < n_s)
+    matched[matched] = key_r[r[matched]] == key_s[s[matched]]
+    codes = np.sort(r[matched] * n_s + s[matched])
+    distinct = not np.any(codes[1:] == codes[:-1])
+    if matched.all() and distinct and r.shape[0] == join_product(key_r, key_s):
         return True, "exactly-once"
+
+    # Expected pairs in scan order: by S uid, then by R uid within a key.
+    order_r = np.argsort(key_r, kind="stable")
+    sorted_r = key_r[order_r]
+    lo = np.searchsorted(sorted_r, key_s, side="left")
+    lens = np.searchsorted(sorted_r, key_s, side="right") - lo
+    total = int(lens.sum())
+    offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
+    exp_r = order_r[np.repeat(lo, lens) + offsets]
+    exp_s = np.repeat(np.arange(n_s, dtype=np.int64), lens)
+    missing = ~np.isin(exp_r * n_s + exp_s, codes)
+    n_missing = int(missing.sum())
+    if n_missing:
+        head = _pair_list(exp_r[missing][:5], exp_s[missing][:5])
+        return False, f"missing joins: {head} (+{max(n_missing - 5, 0)})"
+
+    # Distinct observed pairs in first-occurrence order.
+    _, first, counts = np.unique(
+        np.stack([r, s], axis=1), axis=0, return_index=True, return_counts=True
+    )
+    by_first = np.argsort(first)
+    first, counts = first[by_first], counts[by_first]
+    spurious = first[~matched[first]][:5]
+    if spurious.shape[0]:
+        return False, f"spurious joins: {_pair_list(r[spurious], s[spurious])}"
+    dupes = first[counts > 1][:5]
+    return False, f"duplicate joins: {_pair_list(r[dupes], s[dupes])}"

@@ -181,8 +181,14 @@ class Observability:
         """Wire every hook site of ``runtime`` to this bundle.
 
         ``meta`` (system name, workload, seed...) is emitted as the trace's
-        ``run_meta`` header event so ``inspect`` can label its report.
+        ``run_meta`` header event so ``inspect`` can label its report,
+        together with the kernel path (:func:`repro.engine.ckernels.describe`).
+        The shard count is not part of the header: a sharded trace must
+        equal the serial one once ``shard`` events are filtered out, and
+        the ``shard`` fork event carries the worker count.
         """
+        from ..engine import ckernels
+
         runtime.obs = self
         runtime.metrics.obs = self
         runtime.dispatcher.obs = self
@@ -201,6 +207,7 @@ class Observability:
                     side: len(group)
                     for side, group in runtime.dispatcher.groups.items()
                 },
+                **ckernels.describe(),
                 **(meta or {}),
             )
 

@@ -313,8 +313,7 @@ class DifferentialHarness:
                 if faults is not None else 0.0
             )
             for keys in tap.advance_tick(tick):
-                for k in keys.tolist():
-                    self.oracle.ingest(stream, int(k), t0, extra_delay=extra)
+                self.oracle.ingest_many(stream, keys, t0, extra_delay=extra)
         events = self.runtime.metrics.migration_events()
         for event in events[self._replayed:]:
             if event.keys:
@@ -406,7 +405,7 @@ class DifferentialHarness:
         # 3. totals
         report.pairs_expected = sum(expected.values())
         report.results_system = sum(observed.values())
-        report.pairs_oracle = len(self.oracle.pairs)
+        report.pairs_oracle = self.oracle.n_pairs
 
         report.ok = oracle_ok and not divergences and (
             report.pairs_expected == report.pairs_oracle == report.results_system

@@ -49,6 +49,7 @@ from ..engine.tuples import Batch
 from ..errors import ConfigError, ValidationError
 from ..join.exact import ExactBiclique
 from ..join.instance import JoinInstance
+from .invariants import first_colocation_violation
 
 __all__ = [
     "FAULT_MODES",
@@ -217,7 +218,7 @@ class FaultyBiclique(ExactBiclique):
         self.fault = fault
 
     def migrate(self, side, source, target, keys, now, duration=0.0):
-        keys = {k for k in keys if self._route(side, k) == source}
+        keys = self.owned_keys(side, source, keys)
         if not keys:
             return
         src = self.groups[side][source]
@@ -321,17 +322,14 @@ def run_oracle_fuzz(
 
     for action in actions:
         if action.kind == "burst":
-            for k in action.keys:
-                oracle.ingest(action.stream, k, now)
+            oracle.ingest_many(action.stream, action.keys, now)
             now += 0.01
             oracle.step(now)
         elif action.kind == "migrate_mid":
             half = len(action.keys) // 2
-            for k in action.keys[:half]:
-                oracle.ingest(action.stream, k, now)
+            oracle.ingest_many(action.stream, action.keys[:half], now)
             do_migrate(action.side, action.keys)
-            for k in action.keys[half:]:
-                oracle.ingest(action.stream, k, now)
+            oracle.ingest_many(action.stream, action.keys[half:], now)
             now += 0.01
             oracle.step(now)
         elif action.kind == "migrate_back":
@@ -380,7 +378,7 @@ def run_oracle_fuzz(
         n_actions=len(actions),
         n_migrations=n_migrations,
         n_zero_benefit=n_zero_benefit,
-        n_pairs=len(oracle.pairs),
+        n_pairs=oracle.n_pairs,
         ok=ok,
         message=message,
         actions=actions,
@@ -651,32 +649,14 @@ def run_instance_fuzz(
                 f"{served_probes} + queued {queued_probes}",
                 step,
             )
-        seen: dict[int, int] = {}
-        for inst in instances:
-            for key, count in inst.store.counts_snapshot().items():
-                if count == 0:
-                    continue
-                if key in seen:
-                    fail(
-                        "colocation",
-                        f"key {key} stored on instances {seen[key]} and "
-                        f"{inst.instance_id}",
-                        step,
-                    )
-                seen[key] = inst.instance_id
-        for key, holder in seen.items():
-            override = routing.target_of(key)
-            expected = (
-                override
-                if override is not None
-                else int(hash_to_instance(np.array([key]), n_instances)[0])
+        found = first_colocation_violation(instances, route)
+        if found is not None:
+            where = (
+                f"instances {found.other_instance} and {found.instance}"
+                if found.other_instance is not None
+                else f"{found.instance} but routed to {found.expected_instance}"
             )
-            if holder != expected:
-                fail(
-                    "colocation",
-                    f"key {key} stored on {holder} but routed to {expected}",
-                    step,
-                )
+            fail("colocation", f"key {found.key} stored on {where}", step)
 
     def do_migrate(step: int) -> None:
         nonlocal n_migrations, n_zero_benefit

@@ -47,16 +47,82 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..attribution import reconstruct
 from ..errors import StorageError, ValidationError
 
-__all__ = ["GuardConfig", "InvariantGuards"]
+__all__ = [
+    "ColocationViolation",
+    "GuardConfig",
+    "InvariantGuards",
+    "first_colocation_violation",
+]
 
 #: slack for float comparisons on times and EWMA'd loads
 _EPS = 1e-9
+
+
+class ColocationViolation(NamedTuple):
+    """The first key whose storage breaks colocation.
+
+    Exactly one of ``other_instance`` (the key is split: it is also stored
+    on that earlier instance) and ``expected_instance`` (the key is whole
+    but routing resolves it elsewhere) is set.
+    """
+
+    key: int
+    instance: int
+    other_instance: int | None = None
+    expected_instance: int | None = None
+
+
+def first_colocation_violation(
+    group, route: Callable[[np.ndarray], np.ndarray]
+) -> ColocationViolation | None:
+    """Check one instance group's storage against colocation.
+
+    ``group`` is a sequence of instances with ``instance_id`` and a store
+    offering ``nonzero_counts()``; ``route`` maps a key array to the
+    instance each key is routed to.  The group is scanned in order, keys
+    ascending within an instance: the first key met on a second instance
+    is a split; if none is split, the first key stored away from its
+    routed instance is misrouted.  Split storage is reported before any
+    misrouting.
+    """
+    per_instance = [inst.store.nonzero_counts()[0] for inst in group]
+    keys = np.concatenate(per_instance) if per_instance else np.empty(0, np.int64)
+    if keys.shape[0] == 0:
+        return None
+    holders = np.repeat(
+        np.array([inst.instance_id for inst in group], dtype=np.int64),
+        [k.shape[0] for k in per_instance],
+    )
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeated = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeated.shape[0]:
+        # a stable sort keeps scan order within a key, so the earliest
+        # repeat in scan order is some key's second occurrence
+        pos = int(repeated.min())
+        first = int(order[np.searchsorted(sorted_keys, keys[pos])])
+        return ColocationViolation(
+            key=int(keys[pos]),
+            instance=int(holders[pos]),
+            other_instance=int(holders[first]),
+        )
+    expected = route(keys)
+    wrong = np.flatnonzero(expected != holders)
+    if wrong.shape[0] == 0:
+        return None
+    pos = int(wrong[0])
+    return ColocationViolation(
+        key=int(keys[pos]),
+        instance=int(holders[pos]),
+        expected_instance=int(expected[pos]),
+    )
 
 
 @dataclass(frozen=True)
@@ -270,48 +336,38 @@ class InvariantGuards:
         routing.  Skipped for non-content-based partitioners (ContRand
         smears keys across a subgroup by design)."""
         for side, group in runtime.dispatcher.groups.items():
-            if not runtime.dispatcher.partitioners[side].content_based:
+            part = runtime.dispatcher.partitioners[side]
+            if not part.content_based:
                 continue
             routing = runtime.dispatcher.routing[side]
-            seen: dict[int, int] = {}
-            for inst in group:
-                for key, count in inst.store.counts_snapshot().items():
-                    if count == 0:
-                        continue
-                    if key in seen:
-                        self._fail(
-                            "colocation",
-                            f"side {side}: key {key} stored on instances "
-                            f"{seen[key]} and {inst.instance_id} "
-                            "simultaneously",
-                            side=side,
-                            key=key,
-                            instance=inst.instance_id,
-                            other_instance=seen[key],
-                            routing_epoch=routing.version,
-                        )
-                    seen[key] = inst.instance_id
-            # storage must sit where routing resolves the key
-            part = runtime.dispatcher.partitioners[side]
-            for key, instance_id in seen.items():
-                override = routing.target_of(key)
-                if override is not None:
-                    expected = override
-                else:
-                    expected = int(
-                        part.store_targets(np.array([key], dtype=np.int64), None)[0]
-                    )
-                if instance_id != expected:
-                    self._fail(
-                        "colocation",
-                        f"side {side}: key {key} stored on instance "
-                        f"{instance_id} but routes to {expected}",
-                        side=side,
-                        key=key,
-                        instance=instance_id,
-                        expected_instance=expected,
-                        routing_epoch=routing.version,
-                    )
+            found = first_colocation_violation(
+                group,
+                lambda keys: routing.apply(keys, part.store_targets(keys, None)),
+            )
+            if found is None:
+                continue
+            if found.other_instance is not None:
+                self._fail(
+                    "colocation",
+                    f"side {side}: key {found.key} stored on instances "
+                    f"{found.other_instance} and {found.instance} "
+                    "simultaneously",
+                    side=side,
+                    key=found.key,
+                    instance=found.instance,
+                    other_instance=found.other_instance,
+                    routing_epoch=routing.version,
+                )
+            self._fail(
+                "colocation",
+                f"side {side}: key {found.key} stored on instance "
+                f"{found.instance} but routes to {found.expected_instance}",
+                side=side,
+                key=found.key,
+                instance=found.instance,
+                expected_instance=found.expected_instance,
+                routing_epoch=routing.version,
+            )
 
     def check_hysteresis(self, runtime) -> None:
         """New migrations respect ``Theta`` and the monitor cooldown."""

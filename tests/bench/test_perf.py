@@ -258,6 +258,19 @@ class TestReportIO:
         meta = machine_metadata()
         assert {"python", "numpy", "platform", "machine"} <= set(meta)
 
+    def test_machine_metadata_records_kernels_and_shards(self, monkeypatch):
+        from repro.engine import ckernels
+        from repro.engine.shard import effective_shards
+
+        meta = machine_metadata()
+        assert meta["ckernels"] is ckernels.available()
+        assert meta["shards"] == 1
+        assert machine_metadata(4)["shards"] == effective_shards(4)[0]
+        monkeypatch.setenv("REPRO_NO_CKERNELS", "1")
+        assert machine_metadata()["ckernels_disabled"] is True
+        monkeypatch.delenv("REPRO_NO_CKERNELS")
+        assert machine_metadata()["ckernels_disabled"] is False
+
 
 class TestRunProfile:
     def test_profiles_each_case_with_alloc(self):

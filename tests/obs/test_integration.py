@@ -6,10 +6,13 @@ per-second series that match the run's own :class:`RunMetrics` — the
 acceptance bar for the whole layer.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.bench.experiments import canonical_config, run_synthetic_group
+from repro.engine import ckernels
 from repro.obs import Observability
 from repro.obs.events import MIGRATION_PHASES, active_trace
 from repro.obs.inspect import build_report, read_events, render_report
@@ -44,6 +47,12 @@ class TestTraceContents:
         assert report.meta["system"] == "fastjoin"
         assert report.meta["workload"] == "G21"
         assert report.meta["seed"] == 0
+
+    def test_meta_records_the_kernel_path(self, report):
+        assert report.meta["ckernels"] is ckernels.available()
+        assert report.meta["ckernels_disabled"] is bool(
+            os.environ.get("REPRO_NO_CKERNELS")
+        )
 
     def test_close_detaches_active_trace(self, traced_run):
         assert active_trace() is None

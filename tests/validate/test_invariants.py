@@ -2,11 +2,18 @@
 (b) fire with a structured, replayable error when its invariant is
 deliberately violated."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.routing import RoutingTable
 from repro.engine.metrics import MigrationEvent
+from repro.engine.rng import hash_to_instance
 from repro.errors import ValidationError
+from repro.join.storage import DENSE_KEY_CAP, KeyedStore
 from repro.systems.factory import build_system
 from repro.validate import (
     GuardConfig,
@@ -14,6 +21,7 @@ from repro.validate import (
     make_sources,
     validation_config,
 )
+from repro.validate.invariants import first_colocation_violation
 
 
 def small_runtime(system="fastjoin", seed=2, ticks=120, attach=True):
@@ -198,3 +206,69 @@ def test_result_tracking_disabled_raises():
         inst.result_counts_snapshot()
     inst.enable_result_tracking()
     assert inst.result_counts_snapshot() == {}
+
+
+# --------------------------------------------------------------------- #
+# the array colocation check against a per-key reference
+# --------------------------------------------------------------------- #
+
+
+def reference_first_violation(group, routing, n_instances):
+    """The colocation scan written key by key with a dict."""
+    seen = {}
+    for inst in group:
+        for key, count in inst.store.counts_snapshot().items():
+            if count == 0:
+                continue
+            if key in seen:
+                return (key, inst.instance_id, seen[key], None)
+            seen[key] = inst.instance_id
+    for key, holder in seen.items():
+        override = routing.target_of(key)
+        expected = (
+            override
+            if override is not None
+            else int(hash_to_instance(np.array([key], dtype=np.int64),
+                                      n_instances)[0])
+        )
+        if holder != expected:
+            return (key, holder, None, expected)
+    return None
+
+
+#: small dense keys plus overflow keys (negative and beyond the dense cap)
+COLOCATION_KEYS = st.sampled_from(list(range(16)) + [-7, DENSE_KEY_CAP + 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_instances=st.integers(2, 4))
+def test_array_colocation_matches_per_key_reference(data, n_instances):
+    """Random layouts: keys on their routed instance, misrouted, or split
+    over two instances, under random routing overrides and instance-id
+    orders; both checks name the same first violation."""
+    routing = RoutingTable(n_instances)
+    for key, target in data.draw(st.dictionaries(
+        COLOCATION_KEYS, st.integers(0, n_instances - 1), max_size=5
+    )).items():
+        routing.install([key], target)
+
+    def route(keys):
+        return routing.apply(keys, hash_to_instance(keys, n_instances))
+
+    ids = data.draw(st.permutations(range(n_instances)))
+    group = [SimpleNamespace(instance_id=i, store=KeyedStore()) for i in ids]
+    by_id = {inst.instance_id: inst for inst in group}
+    for key in data.draw(st.lists(COLOCATION_KEYS, unique=True, max_size=8)):
+        home = int(route(np.array([key], dtype=np.int64))[0])
+        placement = data.draw(st.sampled_from(["home", "home", "misrouted",
+                                               "split"]))
+        holders = {home}
+        if placement == "misrouted":
+            holders = {data.draw(st.integers(0, n_instances - 1))}
+        elif placement == "split":
+            holders.add(data.draw(st.integers(0, n_instances - 1)))
+        for holder in holders:
+            by_id[holder].store.add(key, data.draw(st.integers(1, 3)))
+    got = first_colocation_violation(group, route)
+    want = reference_first_violation(group, routing, n_instances)
+    assert (tuple(got) if got is not None else None) == want
