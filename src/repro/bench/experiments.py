@@ -183,15 +183,11 @@ def run_ridehailing(
     unbounded: bool = True,
     max_duration: float = 240.0,
     obs=None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Run one system on the ride-hailing workload and collect results.
 
     ``obs`` (an :class:`repro.obs.Observability`) attaches event tracing /
     metrics / profiling to the run; the caller owns its lifecycle.
-    ``shards > 1`` runs the service phase across that many persistent
-    worker processes (:mod:`repro.engine.shard`) — results are bit-exact
-    with the serial path.
     """
     spec = spec or canonical_workload_spec()
     orders, tracks = ridehailing_sources(spec, config.seed, unbounded=unbounded)
@@ -202,7 +198,6 @@ def run_ridehailing(
             meta={"system": system, "workload": "ridehailing",
                   "seed": config.seed},
         )
-    _attach_shards(runtime, shards)
     metrics = runtime.run(
         duration=duration, drain=not unbounded, max_duration=max_duration
     )
@@ -226,19 +221,6 @@ def run_ridehailing(
 
 #: systems every comparison matrix covers, in canonical report order
 SWEEP_SYSTEMS = ("bistream", "contrand", "fastjoin")
-
-
-def _attach_shards(runtime, shards: int) -> None:
-    """Attach a shard coordinator when asked for; serial path untouched.
-
-    Sharding must be the *last* attachment (the forked workers inherit the
-    fully wired system), which is why every run helper calls this right
-    after ``attach_observer``.  ``runtime.run`` shuts the workers down.
-    """
-    if shards > 1:
-        from ..engine.shard import ShardCoordinator
-
-        runtime.attach_sharding(ShardCoordinator(shards))
 
 
 @dataclass(frozen=True)
@@ -269,7 +251,6 @@ class ExperimentTask:
     capture: bool = False
     fault_spec: str | None = None   # --faults grammar; None = fault-free
     elastic_spec: str | None = None  # --elastic grammar; None = fixed fleet
-    shards: int = 1                 # worker processes per run (bit-exact)
     label: str = ""
 
     def display(self) -> str:
@@ -333,7 +314,6 @@ def run_experiment_task(task: ExperimentTask) -> ExperimentOutcome:
                 unbounded=task.unbounded,
                 max_duration=task.max_duration,
                 obs=obs,
-                shards=task.shards,
             )
         else:
             result = run_synthetic_group(
@@ -344,7 +324,6 @@ def run_experiment_task(task: ExperimentTask) -> ExperimentOutcome:
                 rate=task.rate if task.rate else 4_500.0,
                 duration=task.duration if task.duration is not None else 40.0,
                 obs=obs,
-                shards=task.shards,
             )
         events = None
         profiler_summary = None
@@ -387,7 +366,6 @@ def run_compare(
     capture: bool = False,
     fault_spec: str | None = None,
     elastic_spec: str | None = None,
-    shards: int = 1,
     jobs: int | None = None,
     progress=None,
 ) -> list[ExperimentOutcome]:
@@ -414,7 +392,6 @@ def run_compare(
             capture=capture,
             fault_spec=fault_spec,
             elastic_spec=elastic_spec,
-            shards=shards,
             label=f"{system}/{workload}",
         )
         for system in systems
@@ -546,7 +523,6 @@ def run_synthetic_group(
     rate: float = 4_500.0,
     duration: float = 40.0,
     obs=None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Run one system on a Gxy synthetic skew group (Fig. 12/13).
 
@@ -568,7 +544,6 @@ def run_synthetic_group(
             obs,
             meta={"system": system, "workload": label, "seed": config.seed},
         )
-    _attach_shards(runtime, shards)
     metrics = runtime.run(duration=duration, drain=False, max_duration=240.0)
     return ExperimentResult(
         system=system,
@@ -637,7 +612,6 @@ def run_elasticity(
     seed: int = 0,
     warmup: float = 5.0,
     obs=None,
-    shards: int = 1,
 ) -> ExperimentResult:
     """The elasticity experiment: FastJoin on the skew-drift workload.
 
@@ -668,7 +642,6 @@ def run_elasticity(
             obs,
             meta={"system": "fastjoin", "workload": "skewdrift", "seed": seed},
         )
-    _attach_shards(runtime, shards)
     metrics = runtime.run(duration=duration, drain=False, max_duration=240.0)
     return ExperimentResult(
         system="fastjoin",

@@ -34,7 +34,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class BenchCase:
     seed: int = 0
     quick: bool = False
     elastic_spec: str | None = None  # scale mid-run (see repro.elastic)
-    shards: int = 1                  # service-phase worker processes
 
     def config(self) -> SystemConfig:
         theta = 2.2 if self.system == "fastjoin" else None
@@ -122,14 +121,6 @@ BENCH_CASES: tuple[BenchCase, ...] = (
               elastic_spec="at:t=3+2;at:t=7-2"),
     BenchCase("elastic-rules/fastjoin/8", "fastjoin", "ridehailing", 8, 10.0, 48_000.0,
               elastic_spec="scaleout:+2@LI>2.5/hold=1.0"),
-    # Sharded execution (repro.engine.shard): the Fig. 1 cells again at 4
-    # worker processes.  Deterministic metrics are bit-identical to the
-    # serial cells above by construction; the tuples/sec gap between the
-    # x4shards cell and its serial twin is the measured scaling curve the
-    # sentinel trajectory tracks.  (1-core machines demote to serial with
-    # a warning — see repro.engine.shard.effective_shards.)
-    BenchCase("fig1-skew/fastjoin/16x4shards", "fastjoin", "ridehailing", 16, 10.0, 96_000.0, quick=True, shards=4),
-    BenchCase("fig1-skew/bistream/16x4shards", "bistream", "ridehailing", 16, 10.0, 96_000.0, quick=True, shards=4),
 )
 
 #: wall-clock repeats per case; the report keeps the best (see run_case)
@@ -178,30 +169,18 @@ def _build_runtime(case: BenchCase):
     if case.workload == "ridehailing":
         spec = canonical_workload_spec(rate=case.rate)
         orders, tracks = ridehailing_sources(spec, config.seed, unbounded=True)
-        runtime = build_system(case.system, config, orders, tracks)
-    else:
-        from ..data.synthetic import SyntheticGroupSpec, make_group_sources
-        from ..engine.rng import SeedSequenceFactory
+        return build_system(case.system, config, orders, tracks)
+    from ..data.synthetic import SyntheticGroupSpec, make_group_sources
+    from ..engine.rng import SeedSequenceFactory
 
-        spec = SyntheticGroupSpec(
-            case.workload, n_keys=1_000, tuples_per_stream=10**9, rate=case.rate
-        )
-        seeds = SeedSequenceFactory(config.seed)
-        r_source, s_source = make_group_sources(spec, seeds)
-        r_source.total = None
-        s_source.total = None
-        runtime = build_system(case.system, config, r_source, s_source)
-    if case.shards > 1:
-        from ..engine.shard import ShardCoordinator, effective_shards
-
-        shards, warning = effective_shards(case.shards)
-        if warning is not None:
-            # 1-core demotion: the cell still runs (serially, bit-identical
-            # deterministic metrics) instead of failing the bench.
-            print(f"warning: {case.name}: {warning}", file=sys.stderr)
-        if shards > 1:
-            runtime.attach_sharding(ShardCoordinator(shards))
-    return runtime
+    spec = SyntheticGroupSpec(
+        case.workload, n_keys=1_000, tuples_per_stream=10**9, rate=case.rate
+    )
+    seeds = SeedSequenceFactory(config.seed)
+    r_source, s_source = make_group_sources(spec, seeds)
+    r_source.total = None
+    s_source.total = None
+    return build_system(case.system, config, r_source, s_source)
 
 
 def run_case(case: BenchCase, repeats: int = DEFAULT_REPEATS) -> CaseResult:
@@ -244,7 +223,6 @@ def run_profile(
     cases: tuple[BenchCase, ...] | None = None,
     alloc: bool = True,
     progress=None,
-    shards: int | None = None,
 ) -> dict:
     """Profile the matrix cells: per-phase wall/work/alloc attribution.
 
@@ -259,8 +237,6 @@ def run_profile(
     from ..obs.profile import PhaseProfiler
 
     matrix = bench_cases(quick) if cases is None else tuple(cases)
-    if shards is not None and shards != 1:
-        matrix = tuple(replace(case, shards=shards) for case in matrix)
     out: dict = {}
     for case in matrix:
         if progress is not None:
@@ -276,12 +252,10 @@ def run_profile(
     return out
 
 
-def machine_metadata(shards: int | None = None) -> dict:
-    """Context a baseline number is meaningless without: the host, the
-    kernel path (:func:`repro.engine.ckernels.describe`) and the shard
-    count a ``shards`` request runs with on this host."""
+def machine_metadata() -> dict:
+    """Context a baseline number is meaningless without: the host and the
+    kernel path (:func:`repro.engine.ckernels.describe`)."""
     from ..engine import ckernels
-    from ..engine.shard import effective_shards
 
     return {
         "python": sys.version.split()[0],
@@ -291,7 +265,6 @@ def machine_metadata(shards: int | None = None) -> dict:
         "processor": platform.processor() or "unknown",
         "cpu_count": os.cpu_count() or 1,
         **ckernels.describe(),
-        "shards": effective_shards(shards)[0],
     }
 
 
@@ -351,7 +324,6 @@ def run_matrix(
     jobs: int | None = 1,
     cases: tuple[BenchCase, ...] | None = None,
     on_result=None,
-    shards: int | None = None,
 ) -> dict:
     """Run the matrix (or its quick subset) into a report dict.
 
@@ -362,17 +334,11 @@ def run_matrix(
     default stays 1 — the serial reference path — so wall numbers written
     by unattended runs are contention-free unless parallelism is asked
     for.  ``cases`` overrides the matrix (parallel-equivalence tests run
-    random subsets).  ``shards`` (the CLI's ``--shards``) overrides every
-    cell's shard count: deterministic metrics stay bit-identical to the
-    serial matrix, so ``--check`` still cross-checks them exactly, while
-    wall-clock comparisons are demoted to warnings (the committed
-    baselines are serial by contract).
+    random subsets).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     matrix = bench_cases(quick) if cases is None else tuple(cases)
-    if shards is not None and shards != 1:
-        matrix = tuple(replace(case, shards=shards) for case in matrix)
     njobs = resolve_jobs(jobs, len(matrix) * repeats)
     if njobs == 1:
         results = []
@@ -404,8 +370,7 @@ def run_matrix(
         "quick": quick,
         "repeats": repeats,
         "jobs": njobs,
-        "shards": int(shards) if shards is not None else 1,
-        "machine": machine_metadata(shards),
+        "machine": machine_metadata(),
         "cases": results,
     }
 
@@ -441,17 +406,13 @@ def compare_reports(
     exactly; a drift there is a semantics change, not noise.
 
     Wall numbers are only tolerance-checked when the fresh report was
-    measured serially (``jobs == 1`` and no ``--shards`` override).
-    Committed baselines are serial by contract; a parallel run's workers
-    share cores, so its wall-clock is not comparable — those regressions
-    are demoted to warnings while the deterministic metrics still fail
-    hard.  (Cells that *pin* their own ``shards`` in the matrix are part
-    of the baseline and wall-checked normally: that is the scaling curve
-    under regression watch.)
+    measured serially (``jobs == 1``).  Committed baselines are serial by
+    contract; a parallel run's workers share cores, so its wall-clock is
+    not comparable — those regressions are demoted to warnings while the
+    deterministic metrics still fail hard.
     """
     cmp = Comparison()
     fresh_jobs = int(fresh.get("jobs", 1))
-    fresh_shards = int(fresh.get("shards", 1))
     base_by_name = {c["name"]: c for c in baseline.get("cases", [])}
     for case in fresh.get("cases", []):
         name = case["name"]
@@ -469,15 +430,11 @@ def compare_reports(
                 f"{(1.0 - ratio) * 100:.1f}% below baseline {base_rate:,.0f} "
                 f"(tolerance {tolerance * 100:.0f}%)"
             )
-            if fresh_jobs > 1 or fresh_shards > 1:
-                what = (
-                    f"jobs={fresh_jobs}" if fresh_jobs > 1
-                    else f"--shards {fresh_shards}"
-                )
-                verdict = f"ok (wall not checked, {what})"
+            if fresh_jobs > 1:
+                verdict = "ok (wall not checked, jobs > 1)"
                 cmp.warnings.append(
-                    message + f" — ignored: measured with {what}, "
-                    "wall baselines are serial"
+                    message + " — ignored: measured with jobs="
+                    f"{fresh_jobs}, wall baselines are serial"
                 )
             else:
                 verdict = "REGRESSION"

@@ -99,17 +99,12 @@ def _latest_case(entries: list[dict], name: str) -> dict | None:
 def _wall_samples(entries: list[dict], name: str, window: int) -> list[float]:
     """Up to ``window`` most recent *serial* wall rates for ``name``.
 
-    Entries measured with ``jobs > 1`` or a ``--shards`` override are
-    excluded: their workers shared cores, so their wall numbers are not
-    comparable to a serial run's.  (Cells that pin their own ``shards``
-    in the matrix are always measured and always comparable — their extra
-    processes are part of the configuration under test.)
+    Entries measured with ``jobs > 1`` are excluded: their workers shared
+    cores, so their wall numbers are not comparable to a serial run's.
     """
     samples: list[float] = []
     for entry in reversed(entries):
         if int(entry.get("jobs", 1)) != 1:
-            continue
-        if int(entry.get("shards", 1)) != 1:
             continue
         for case in entry.get("cases", []):
             if case["name"] == name:
@@ -157,7 +152,6 @@ def check_sentinel(
     result = SentinelResult()
     entries = history.get("entries", [])
     fresh_jobs = int(jobs) if jobs is not None else int(report.get("jobs", 1))
-    fresh_shards = int(report.get("shards", 1))
 
     base_by_name = {c["name"]: c for c in (baseline or {}).get("cases", [])}
     latest_machine = (
@@ -202,15 +196,11 @@ def check_sentinel(
                 f"{anchor_rate:,.0f} over {len(samples)} run(s) "
                 f"(tolerance {tolerance * 100:.0f}%)"
             )
-            if fresh_jobs > 1 or fresh_shards > 1:
-                what = (
-                    f"jobs={fresh_jobs}" if fresh_jobs > 1
-                    else f"--shards {fresh_shards}"
-                )
-                verdict = f"ok (wall not checked, {what})"
+            if fresh_jobs > 1:
+                verdict = "ok (wall not checked, jobs > 1)"
                 result.warnings.append(
-                    message + f" — ignored: measured with {what}, "
-                    "wall history is serial"
+                    message + " — ignored: measured with jobs="
+                    f"{fresh_jobs}, wall history is serial"
                 )
             elif not same_machine:
                 verdict = "ok (wall not checked, machine changed)"
@@ -231,7 +221,6 @@ def check_sentinel(
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "quick": bool(report.get("quick", False)),
         "jobs": fresh_jobs,
-        "shards": fresh_shards,
         "repeats": int(report.get("repeats", 1)),
         "machine": report.get("machine", {}),
         "cases": report.get("cases", []),

@@ -120,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for campaign subcommands "
                         "(compare/validate/bench); results are bit-identical "
                         "to --jobs 1 (default: one per CPU, capped)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="persistent worker processes for the per-tick "
-                        "service phase inside each run "
-                        "(run/compare/validate/bench); results are "
-                        "bit-identical to --shards 1, the in-process serial "
-                        "path (default).  Composes with --jobs: cells x "
-                        "shards processes.  Single-core machines demote to "
-                        "serial with a warning")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="deterministic fault-injection plan for "
                         "run/compare/validate, e.g. "
@@ -272,7 +264,6 @@ def _run_validate(args: argparse.Namespace) -> int:
             capture=args.trace is not None,
             fault_spec=args.faults,
             elastic_spec=args.elastic,
-            shards=args.shards or 1,
         )
         for system in systems
     ]
@@ -345,12 +336,9 @@ def _run_bench(args: argparse.Namespace) -> int:
             print(f"profiling {case.name} (rate {case.rate:g}, "
                   f"{case.duration:g}s)...", file=sys.stderr)
 
-        profile_kwargs = {}
-        if args.shards is not None:
-            profile_kwargs["shards"] = args.shards
         profiled = perf.run_profile(
             quick=args.quick, alloc=not args.no_alloc,
-            progress=profile_progress, **profile_kwargs,
+            progress=profile_progress,
         )
         for name, entry in profiled.items():
             print(f"\n{name}")
@@ -358,8 +346,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 0
 
     report = perf.run_matrix(quick=args.quick, progress=progress,
-                             repeats=repeats, jobs=args.jobs,
-                             shards=args.shards)
+                             repeats=repeats, jobs=args.jobs)
     print(perf.format_report(report))
     if args.output:
         perf.write_report(report, args.output)
@@ -481,11 +468,6 @@ def _check_args(args: argparse.Namespace) -> str | None:
     """Early argument hygiene; returns an error message or ``None``."""
     if args.jobs is not None and args.jobs < 1:
         return f"--jobs must be >= 1, got {args.jobs}"
-    if args.shards is not None:
-        if args.shards < 1:
-            return f"--shards must be >= 1, got {args.shards}"
-        if args.system == "inspect":
-            return "--shards is not supported by 'inspect'"
     if args.repeats is not None and args.repeats < 1:
         return f"--repeats must be >= 1, got {args.repeats}"
     if args.fuzz is not None and args.fuzz < 1:
@@ -544,15 +526,6 @@ def main(argv: list[str] | None = None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.shards is not None:
-        # Demote once, up front: single-core machines (or no os.fork) run
-        # the serial path with a warning instead of failing — results are
-        # bit-identical either way.
-        from .engine.shard import effective_shards
-
-        args.shards, shard_warning = effective_shards(args.shards)
-        if shard_warning is not None:
-            print(f"warning: {shard_warning}", file=sys.stderr)
     if args.system == "inspect":
         return _run_inspect(args)
     if args.system == "validate":
@@ -592,7 +565,6 @@ def main(argv: list[str] | None = None) -> int:
         capture=args.trace is not None,
         fault_spec=args.faults,
         elastic_spec=args.elastic,
-        shards=args.shards or 1,
         jobs=args.jobs,
         progress=progress,
     )

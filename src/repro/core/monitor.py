@@ -112,10 +112,6 @@ class Monitor:
         self.li_history: deque[tuple[float, float]] = deque(maxlen=li_history_cap)
         # Optional observability bundle (repro.obs); one test per sample.
         self.obs = None
-        # Optional migration barrier hook (repro.engine.shard): called with
-        # (side, source, target) right before the executor runs, so a
-        # sharded runtime can pull both parties' live state first.
-        self.prepare_migration = None
         # Grow-only scratch for the periodic sample's load columns.
         self._arena = Arena()
 
@@ -187,10 +183,6 @@ class Monitor:
             # outside the target's checkpoint+WAL).  Balancing defers
             # until the failure is handled; the next period retries.
             return False
-        if self.prepare_migration is not None:
-            # Sharded execution barrier: both parties' live state must be
-            # local before the selection/transfer protocol reads it.
-            self.prepare_migration(self.side, source, target)
         assert self.selector is not None and self.executor is not None
         event = self.executor.execute(
             now, self.side, source, target, self.selector, li_before=li

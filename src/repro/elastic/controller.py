@@ -83,11 +83,6 @@ class ElasticController:
         self.n_provisioned = 0
         self.n_retired = 0
         self.n_deferred = 0
-        # Optional sharding barrier (repro.engine.shard): set by
-        # ShardCoordinator.bind.  Scaling is a topology change, so the
-        # controller pulls every instance's live state before acting and
-        # re-forks the worker set after a successful action.
-        self.shard_coordinator = None
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -205,22 +200,9 @@ class ElasticController:
     def _apply(self, runtime, now: float, count: int, trigger: str):
         """Dispatch one action.  Returns True (scaled), False (no-op) or
         None (deferred — retry at the next evaluation)."""
-        shard = self.shard_coordinator
-        if shard is not None and shard.started:
-            # Barrier: scaling reads donor stores/queues (scale-out) or
-            # drains victims into their homes (scale-in) — every involved
-            # instance's authoritative state must be parent-local first.
-            shard.pull_all(runtime)
         if count > 0:
-            result = self._scale_out(runtime, now, count, trigger)
-        else:
-            result = self._scale_in(runtime, now, -count, trigger)
-        if result and shard is not None:
-            # The group membership changed: tear the workers down and let
-            # the next service tick re-fork over the new topology (the
-            # parent state is authoritative after the pull above).
-            shard.refork(runtime)
-        return result
+            return self._scale_out(runtime, now, count, trigger)
+        return self._scale_in(runtime, now, -count, trigger)
 
     def _scale_out(self, runtime, now: float, count: int, trigger: str) -> bool:
         obs = runtime.obs

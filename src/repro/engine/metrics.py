@@ -16,13 +16,21 @@ mean plus a bounded reservoir for percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ..attribution import close_decomposition
 from .arena import Arena
 
-__all__ = ["MetricsCollector", "RunMetrics", "MigrationEvent", "Reservoir"]
+__all__ = [
+    "MetricsCollector",
+    "RunMetrics",
+    "MigrationEvent",
+    "Reservoir",
+    "PerSecond",
+    "bin_per_second",
+]
 
 
 class Reservoir:
@@ -189,6 +197,96 @@ class RunMetrics:
         vals = self.steady("latency_mean")
         vals = vals[np.isfinite(vals)]
         return float(vals.mean()) if vals.size else float("nan")
+
+
+class PerSecond(NamedTuple):
+    """Per-simulated-second series produced by :func:`bin_per_second`."""
+
+    seconds: np.ndarray
+    throughput: np.ndarray
+    processed: np.ndarray
+    latency_mean: np.ndarray
+    #: attribution mean series keyed like :meth:`RunMetrics.components`
+    components: dict[str, np.ndarray]
+    li: dict[str, np.ndarray]
+
+
+def bin_per_second(
+    max_time: float,
+    *,
+    results: Iterable[tuple[int, float]],
+    processed: Iterable[tuple[int, float]],
+    latency: Iterable[tuple[int, float, int]],
+    service: Iterable[tuple[int, float]],
+    migration: Iterable[tuple[int, float]],
+    recovery: Iterable[tuple[int, float]],
+    li: dict[str, Iterable[tuple[float, float]]],
+) -> PerSecond:
+    """Bin per-second sums into the series a :class:`RunMetrics` carries.
+
+    Each series input yields ``(second, value)`` pairs (``latency`` yields
+    ``(second, latency_sum, latency_count)``), added into the bins in the
+    order given, so a caller chooses its own summation order.  ``li`` maps
+    each side to ``(time, li)`` samples.
+
+    An input recorded at exactly ``t == n_sec`` (an integer run end) falls
+    in the last window, whose *end* is ``n_sec``: it is clamped instead of
+    dropped, so series sums equal the lifetime totals.  Bins without
+    latency samples are NaN.  The attribution components are per-tuple
+    means, with the queue-wait residual closed *at the mean level* so the
+    components sum bit-exactly to ``latency_mean`` despite the
+    non-distributive division by the bin count.  The last LI sample in a
+    second wins.
+    """
+    n_sec = int(np.ceil(max_time)) if max_time > 0 else 1
+    last = n_sec - 1
+
+    def binned(pairs: Iterable[tuple[int, float]]) -> np.ndarray:
+        out = np.zeros(n_sec)
+        for sec, v in pairs:
+            out[min(sec, last)] += v
+        return out
+
+    lat_sum = np.zeros(n_sec)
+    lat_cnt = np.zeros(n_sec, dtype=np.int64)
+    for sec, s, c in latency:
+        lat_sum[min(sec, last)] += s
+        lat_cnt[min(sec, last)] += c
+    nz = lat_cnt > 0
+
+    def mean(sums: np.ndarray) -> np.ndarray:
+        out = np.full(n_sec, np.nan)
+        out[nz] = sums[nz] / lat_cnt[nz]
+        return out
+
+    lat = mean(lat_sum)
+    qw = np.full(n_sec, np.nan)
+    sv = mean(binned(service))
+    mg = mean(binned(migration))
+    rc = mean(binned(recovery))
+    for i in np.nonzero(nz)[0].tolist():
+        qw[i], sv[i], mg[i], rc[i] = close_decomposition(
+            float(lat[i]), float(sv[i]), float(mg[i]), float(rc[i]),
+        )
+    li_series: dict[str, np.ndarray] = {}
+    for side, samples in li.items():
+        arr = np.full(n_sec, np.nan)
+        for t, v in samples:
+            arr[min(int(t), last)] = v  # last sample in the second wins
+        li_series[side] = arr
+    return PerSecond(
+        seconds=np.arange(1, n_sec + 1, dtype=np.float64),
+        throughput=binned(results),
+        processed=binned(processed),
+        latency_mean=lat,
+        components={
+            "queue_wait": qw,
+            "service": sv,
+            "migration_pause": mg,
+            "recovery_pause": rc,
+        },
+        li=li_series,
+    )
 
 
 class MetricsCollector:
@@ -462,61 +560,19 @@ class MetricsCollector:
     # -- finalisation --------------------------------------------------- #
 
     def finalize(self) -> RunMetrics:
-        n_sec = int(np.ceil(self._max_time)) if self._max_time > 0 else 1
-        seconds = np.arange(1, n_sec + 1, dtype=np.float64)
-        thr = np.zeros(n_sec)
-        proc = np.zeros(n_sec)
-        lat = np.full(n_sec, np.nan)
-        # An event recorded at exactly t == n_sec (an integer run end) falls
-        # in the last window, whose *end* is n_sec — clamp instead of drop,
-        # so series sums equal the lifetime totals (``total_results ==
-        # throughput.sum()``).
-        lat_sum = np.zeros(n_sec)
-        lat_cnt = np.zeros(n_sec, dtype=np.int64)
-        for sec, v in self._results.items():
-            thr[min(sec, n_sec - 1)] += v
-        for sec, v in self._processed.items():
-            proc[min(sec, n_sec - 1)] += v
-        for sec, s in self._lat_sum.items():
-            lat_sum[min(sec, n_sec - 1)] += s
-            lat_cnt[min(sec, n_sec - 1)] += self._lat_cnt.get(sec, 0)
-        nz = lat_cnt > 0
-        lat[nz] = lat_sum[nz] / lat_cnt[nz]
-        # Attribution component series: bin the measured sums like lat_sum,
-        # convert to per-tuple means, then close the queue-wait residual
-        # *at the mean level* so the published identity — components sum
-        # bit-exactly to latency_mean — survives the non-distributive
-        # division by the bin count.
-        comp_sv_sum = np.zeros(n_sec)
-        comp_mg_sum = np.zeros(n_sec)
-        comp_rc_sum = np.zeros(n_sec)
-        for sec, v in self._comp_service.items():
-            comp_sv_sum[min(sec, n_sec - 1)] += v
-        for sec, v in self._comp_migration.items():
-            comp_mg_sum[min(sec, n_sec - 1)] += v
-        for sec, v in self._comp_recovery.items():
-            comp_rc_sum[min(sec, n_sec - 1)] += v
-        comp_qw = np.full(n_sec, np.nan)
-        comp_sv = np.full(n_sec, np.nan)
-        comp_mg = np.full(n_sec, np.nan)
-        comp_rc = np.full(n_sec, np.nan)
-        comp_sv[nz] = comp_sv_sum[nz] / lat_cnt[nz]
-        comp_mg[nz] = comp_mg_sum[nz] / lat_cnt[nz]
-        comp_rc[nz] = comp_rc_sum[nz] / lat_cnt[nz]
-        for i in np.nonzero(nz)[0].tolist():
-            comp_qw[i], comp_sv[i], comp_mg[i], comp_rc[i] = (
-                close_decomposition(
-                    float(lat[i]), float(comp_sv[i]), float(comp_mg[i]),
-                    float(comp_rc[i]),
-                )
-            )
-        li_series: dict[str, np.ndarray] = {}
-        for side, samples in self._li.items():
-            arr = np.full(n_sec, np.nan)
-            for t, v in samples:
-                sec = min(int(t), n_sec - 1)
-                arr[sec] = v  # last sample in the second wins
-            li_series[side] = arr
+        binned = bin_per_second(
+            self._max_time,
+            results=self._results.items(),
+            processed=self._processed.items(),
+            latency=(
+                (sec, s, self._lat_cnt.get(sec, 0))
+                for sec, s in self._lat_sum.items()
+            ),
+            service=self._comp_service.items(),
+            migration=self._comp_migration.items(),
+            recovery=self._comp_recovery.items(),
+            li=self._li,
+        )
         overall_lat = (
             self._lat_total / self._lat_total_n if self._lat_total_n else float("nan")
         )
@@ -540,12 +596,13 @@ class MetricsCollector:
             "latency_sum": self._lat_total,
             "count": float(self._lat_total_n),
         }
+        comps = binned.components
         return RunMetrics(
-            seconds=seconds,
-            throughput=thr,
-            processed=proc,
-            latency_mean=lat,
-            li=li_series,
+            seconds=binned.seconds,
+            throughput=binned.throughput,
+            processed=binned.processed,
+            latency_mean=binned.latency_mean,
+            li=binned.li,
             migrations=list(self._migrations),
             latency_overall_mean=overall_lat,
             latency_p50=self._reservoir.percentile(50),
@@ -555,10 +612,10 @@ class MetricsCollector:
             total_processed=self._total_processed,
             duration=self._max_time,
             warmup=self._warmup,
-            latency_queue_wait=comp_qw,
-            latency_service=comp_sv,
-            latency_migration_pause=comp_mg,
-            latency_recovery_pause=comp_rc,
+            latency_queue_wait=comps["queue_wait"],
+            latency_service=comps["service"],
+            latency_migration_pause=comps["migration_pause"],
+            latency_recovery_pause=comps["recovery_pause"],
             component_totals=component_totals,
             instance_counts=list(self._instance_counts),
         )

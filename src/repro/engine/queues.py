@@ -413,54 +413,6 @@ class TupleQueue:
             self._tail_time = float(kept.times[-1]) if len(kept) else -np.inf
         return out
 
-    # ------------------------------------------------------------------ #
-    # state transfer (sharded execution, DESIGN §10)
-    # ------------------------------------------------------------------ #
-
-    def export_state(self) -> dict:
-        """Serializable snapshot of the full queue state.
-
-        The live region is linearised (FIFO order, head at 0); the ring
-        capacity rides along so re-imports preserve growth timing.  Every
-        incremental counter and flag is exported verbatim — in particular
-        ``_monotonic``, which gates observable fast paths (the pause-
-        overlap short-circuit) and must not be recomputed on import.
-        """
-        keys, times, ops = self._live()  # fancy-indexed — fresh copies
-        return {
-            "keys": keys,
-            "times": times,
-            "ops": ops,
-            "capacity": self.capacity,
-            "n_probes": self._n_probes,
-            "monotonic": self._monotonic,
-            "tail_time": self._tail_time,
-            "consumed": self._consumed,
-            "key_lo": self._key_lo,
-            "key_hi": self._key_hi,
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Replace this queue's contents with an exported snapshot."""
-        keys = state["keys"]
-        n = int(keys.shape[0])
-        cap = max(int(state["capacity"]), n, _MIN_CAPACITY)
-        if self.capacity != cap:
-            self._keys = np.empty(cap, dtype=np.int64)
-            self._times = np.empty(cap, dtype=np.float64)
-            self._ops = np.empty(cap, dtype=np.int8)
-        self._keys[:n] = keys
-        self._times[:n] = state["times"]
-        self._ops[:n] = state["ops"]
-        self._head = 0
-        self._size = n
-        self._n_probes = int(state["n_probes"])
-        self._monotonic = bool(state["monotonic"])
-        self._tail_time = float(state["tail_time"])
-        self._consumed = int(state["consumed"])
-        self._key_lo = int(state["key_lo"])
-        self._key_hi = int(state["key_hi"])
-
     def clear(self) -> Batch:
         """Drain the whole queue, returning its contents in FIFO order."""
         keys, times, ops = self._live()  # fancy-indexed, already copies

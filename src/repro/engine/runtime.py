@@ -86,9 +86,6 @@ class StreamJoinRuntime:
         # counters and per-key result tallies still count toward the
         # conservation invariant and differential totals.
         self.retired: dict[str, list[JoinInstance]] = {"R": [], "S": []}
-        # Optional sharded executor (repro.engine.shard).  None = the
-        # serial in-process service loop.
-        self._shard = None
         # Queue-length cache filled by the service phase: the backpressure
         # check and ``_backlog`` read last tick's post-service lengths from
         # here instead of re-scanning every instance.  Invalidated by
@@ -141,29 +138,6 @@ class StreamJoinRuntime:
         controller.bind(self)
         self.elastic = controller
 
-    def attach_sharding(self, coordinator) -> None:
-        """Opt in to sharded service execution (repro.engine.shard).
-
-        ``coordinator`` is a :class:`repro.engine.shard.ShardCoordinator`
-        (duck-typed here to keep the import lazy); it wires the dispatcher
-        delivery hook and the barrier hooks into this runtime.  Must be
-        the *last* attachment — the forked workers inherit whatever is
-        wired at their first tick.
-        """
-        coordinator.bind(self)
-        self._shard = coordinator
-
-    def sync_shards(self) -> None:
-        """Pull the workers' live instance state into this process.
-
-        No-op on the serial path.  Callers that read deep instance state
-        outside :meth:`run` (the differential harness, tests driving
-        ``step()`` directly) must call this before doing so, and
-        ``self._shard.shutdown(self)`` when they are done.
-        """
-        if self._shard is not None:
-            self._shard.pull_all(self)
-
     def refresh_instances(self) -> None:
         """Rebuild the cached instance tuple after a membership change.
 
@@ -194,23 +168,11 @@ class StreamJoinRuntime:
         obs = self.obs
         prof = obs.profiler if obs is not None else None
         faults = self.faults
-        shard = self._shard
 
         # Fault application comes first so a recovery completing this tick
         # can unblock backpressure before the throttle decision below.
-        # Under sharding the fault events are a barrier (DESIGN §10): the
-        # parent pulls every instance's live state, runs the injector
-        # exactly as the serial engine would, and pushes the result back.
-        # The barrier only fires when the injector has an event due — on
-        # every other tick ``before_tick`` is a pure cadence check.
         if faults is not None:
-            if shard is None or not shard.started:
-                if faults.before_tick(self, now):
-                    self._qlen_valid = False
-            elif faults.due(now):
-                shard.pull_all(self)
-                faults.before_tick(self, now)
-                shard.push_all(self)
+            if faults.before_tick(self, now):
                 self._qlen_valid = False
 
         t_mark = prof.now() if prof is not None else 0.0
@@ -255,37 +217,31 @@ class StreamJoinRuntime:
             a_mark = prof.mark_alloc()
 
         end = now + dt
-        if shard is not None:
-            (
-                reports, tot_processed, tot_results, lat_sum, lat_count,
-                work_done,
-            ) = shard.service_tick(self, now, dt)
-        else:
-            tot_processed = 0
-            tot_results = 0.0
-            lat_sum = 0.0
-            lat_count = 0
-            work_done = 0.0
-            reports = []
-            qlen_sum = 0
-            qlen_max = 0
-            for inst in self._instances:
-                report = inst.step(now, dt)
-                qlen = len(inst.queue)
-                qlen_sum += qlen
-                if qlen > qlen_max:
-                    qlen_max = qlen
-                if not report.idle:
-                    reports.append(report)
-                    if obs is not None:
-                        tot_processed += report.n_processed
-                        tot_results += report.n_results
-                        lat_sum += float(report.latencies.sum())
-                        lat_count += int(report.latencies.size)
-                        work_done += report.work_units
-            self._qlen_sum = qlen_sum
-            self._qlen_max = qlen_max
-            self._qlen_valid = True
+        tot_processed = 0
+        tot_results = 0.0
+        lat_sum = 0.0
+        lat_count = 0
+        work_done = 0.0
+        reports = []
+        qlen_sum = 0
+        qlen_max = 0
+        for inst in self._instances:
+            report = inst.step(now, dt)
+            qlen = len(inst.queue)
+            qlen_sum += qlen
+            if qlen > qlen_max:
+                qlen_max = qlen
+            if not report.idle:
+                reports.append(report)
+                if obs is not None:
+                    tot_processed += report.n_processed
+                    tot_results += report.n_results
+                    lat_sum += float(report.latencies.sum())
+                    lat_count += int(report.latencies.size)
+                    work_done += report.work_units
+        self._qlen_sum = qlen_sum
+        self._qlen_max = qlen_max
+        self._qlen_valid = True
         comps = None
         if reports:
             comps = self.metrics.record_service_many(end, reports)
@@ -311,12 +267,6 @@ class StreamJoinRuntime:
             # Migrations move queued tuples between instances outside the
             # service loop; the cached lengths no longer hold.
             self._qlen_valid = False
-        if shard is not None:
-            # Push migration-dirtied instances back to their workers NOW,
-            # before the elastic controller can pull them again (a later
-            # pull would otherwise overwrite the parent's fresh state with
-            # the worker's stale copy).  No-op when nothing was pulled.
-            shard.flush_dirty(self)
 
         # Elasticity is evaluated after the monitors so its signals (the
         # load tables, the smoothed backlogs) reflect this tick's samples.
@@ -325,11 +275,8 @@ class StreamJoinRuntime:
 
         if self._next_rotation is not None and end >= self._next_rotation:
             self._next_rotation += self.window_rotation_period  # type: ignore[operator]
-            if shard is not None:
-                shard.rotate_all(self)
-            else:
-                for inst in self._instances:
-                    inst.rotate_window()
+            for inst in self._instances:
+                inst.rotate_window()
         if prof is not None:
             prof.add(
                 "monitor", prof.now() - t_mark,
@@ -341,12 +288,6 @@ class StreamJoinRuntime:
         if obs is not None:
             obs.on_tick(end, self.tick_index, throttled)
         if self.guards is not None:
-            # Invariant guards read deep per-instance state (store counts,
-            # queue recounts, checkpoint images): under sharding the
-            # parent's husks must be made real first.  Pull-only — the
-            # workers' own state is never behind the parent's here.
-            if shard is not None:
-                shard.pull_all(self)
             self.guards.after_tick(self, end)
 
     def run(
@@ -373,27 +314,19 @@ class StreamJoinRuntime:
             self.r_source.total is None or self.s_source.total is None
         ):
             raise SimulationError("duration=None requires finite sources")
-        try:
-            while True:
-                now = self.clock.now
-                if duration is not None and now >= duration:
+        while True:
+            now = self.clock.now
+            if duration is not None and now >= duration:
+                break
+            if now >= max_duration:
+                raise SimulationError(
+                    f"simulation exceeded max_duration={max_duration}s "
+                    f"(backlog={self._backlog()} tuples); "
+                    "the system is likely overloaded beyond recovery"
+                )
+            sources_done = self.r_source.exhausted and self.s_source.exhausted
+            if sources_done:
+                if not drain or self._backlog() == 0:
                     break
-                if now >= max_duration:
-                    raise SimulationError(
-                        f"simulation exceeded max_duration={max_duration}s "
-                        f"(backlog={self._backlog()} tuples); "
-                        "the system is likely overloaded beyond recovery"
-                    )
-                sources_done = self.r_source.exhausted and self.s_source.exhausted
-                if sources_done:
-                    if not drain or self._backlog() == 0:
-                        break
-                self.step()
-        finally:
-            # Final barrier: pull every worker's live state so the metrics
-            # finalization (and any post-run reader) sees exactly what the
-            # serial engine would have left behind, then retire the
-            # workers.  Idempotent, and a no-op on the serial path.
-            if self._shard is not None:
-                self._shard.shutdown(self)
+            self.step()
         return self.metrics.finalize()

@@ -36,16 +36,6 @@ class WorkloadError(ReproError):
     """A workload/data generator was configured or used incorrectly."""
 
 
-class TransportError(SimulationError):
-    """The sharded executor's shared-memory transport detected corruption.
-
-    Raised when a ring frame fails its sequence/torn-write guard or a
-    worker's control pipe closes unexpectedly — both mean the strict
-    request/response alternation between the parent and a shard worker
-    was violated, so the run cannot continue bit-exactly.
-    """
-
-
 class ParallelError(ReproError):
     """One or more cells of a parallel campaign failed in a worker.
 

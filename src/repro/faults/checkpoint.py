@@ -147,35 +147,6 @@ class InstanceCheckpointer:
         self.n_recoveries += 1
         self.checkpoint(now)
 
-    # -- state transfer (sharded execution, DESIGN §10) ------------------ #
-
-    def export_state(self) -> dict:
-        """Serializable snapshot of checkpoint + WAL + crash bookkeeping.
-
-        The instance backref is deliberately excluded: imports land on a
-        checkpointer already bound to the right instance.
-        """
-        return {
-            "keys": self.keys,
-            "counts": self.counts,
-            "wal": [block.copy() for block in self.wal],
-            "watermark": self.watermark,
-            "crashed": self.crashed,
-            "last_checkpoint_time": self.last_checkpoint_time,
-            "n_checkpoints": self.n_checkpoints,
-            "n_recoveries": self.n_recoveries,
-        }
-
-    def import_state(self, state: dict) -> None:
-        self.keys = state["keys"]
-        self.counts = state["counts"]
-        self.wal = list(state["wal"])
-        self.watermark = int(state["watermark"])
-        self.crashed = bool(state["crashed"])
-        self.last_checkpoint_time = float(state["last_checkpoint_time"])
-        self.n_checkpoints = int(state["n_checkpoints"])
-        self.n_recoveries = int(state["n_recoveries"])
-
     # -- verification ---------------------------------------------------- #
 
     def verify(self) -> str | None:

@@ -160,20 +160,6 @@ class FaultInjector:
     # per-tick application (runtime.step start)
     # ------------------------------------------------------------------ #
 
-    def due(self, now: float) -> bool:
-        """Would :meth:`before_tick` act at ``now``?
-
-        Exactly the three gates of :meth:`before_tick` — the sharded
-        runtime uses this to decide whether the tick needs a fault
-        barrier (pull-all / apply / push-all) or the injector can be
-        skipped without any state transfer.
-        """
-        return (
-            now >= self._next_ckpt
-            or bool(self._recoveries and self._recoveries[0][0] <= now)
-            or bool(self._pending_kills and self._pending_kills[0].at <= now)
-        )
-
     def before_tick(self, runtime, now: float) -> bool:
         """Checkpoints, then due recoveries, then due kills.
 

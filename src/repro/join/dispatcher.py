@@ -207,11 +207,6 @@ class Dispatcher:
         self._arena = Arena()
         # Optional observability bundle (repro.obs); one test per dispatch.
         self.obs = None
-        # Optional delivery hook (repro.engine.shard): when set, scatter
-        # blocks are handed to ``delivery(side, local_idx, keys, time, op)``
-        # instead of the local instances' queues.  The hook must copy the
-        # keys immediately — blocks alias this dispatcher's arena scratch.
-        self.delivery = None
 
     # ------------------------------------------------------------------ #
     # route cache
@@ -270,11 +265,6 @@ class Dispatcher:
     ) -> None:
         """Deliver key blocks to instances of ``side`` grouped by dest."""
         instances = self.groups[side]
-        deliver = self.delivery
-        if deliver is not None:
-            for d, block in counting_blocks(dest, keys, len(instances), self._arena):
-                deliver(side, d, block, time, op)
-            return
         for d, block in counting_blocks(dest, keys, len(instances), self._arena):
             instances[d].enqueue_block(block, time, op)
 
@@ -325,13 +315,8 @@ class Dispatcher:
             # stable dest-sort of the replicated (dest, src) arrays reduces
             # to handing each instance the original keys, so neither the
             # fanout-sized arrays nor the argsort are materialised.
-            deliver = self.delivery
-            if deliver is not None:
-                for d in range(len(self.groups[other])):
-                    deliver(other, d, keys, t_other, OP_PROBE)
-            else:
-                for inst in self.groups[other]:
-                    inst.enqueue_block(keys, t_other, OP_PROBE)
+            for inst in self.groups[other]:
+                inst.enqueue_block(keys, t_other, OP_PROBE)
             n_probes = n * len(self.groups[other])
         elif part_other.content_based and cacheable:
             # Content-based probes are fanout-1 and use the same key ->

@@ -940,64 +940,6 @@ class JoinInstance:
             raise ConfigError("rotate_window requires a windowed instance")
         return self.store.rotate()
 
-    # ------------------------------------------------------------------ #
-    # state transfer (sharded execution, DESIGN §10)
-    # ------------------------------------------------------------------ #
-
-    def export_state(self) -> dict:
-        """Serializable snapshot of everything a barrier must move.
-
-        Covers exactly the mutable datapath state: store, queue, service
-        credit/pause bookkeeping, lifetime counters, the validation-only
-        result accounting and the fault-tolerance image (checkpoint + WAL).
-        Configuration (capacity, cost model, window shape) is immutable
-        and stays with the object.
-        """
-        return {
-            "queue": self.queue.export_state(),
-            "store": self.store.export_state(),
-            "paused_until": self._paused_until,
-            "work_credit": self._work_credit,
-            "backlog_ewma": self._backlog_ewma,
-            "pause_log": list(self._pause_log),
-            "total_stored": self.total_stored,
-            "total_probed": self.total_probed,
-            "total_results": self.total_results,
-            "result_counts": (
-                dict(self._result_counts)
-                if self._result_counts is not None
-                else None
-            ),
-            "ft": self._ft.export_state() if self._ft is not None else None,
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Adopt an exported snapshot (the instance keeps its identity)."""
-        self.queue.import_state(state["queue"])
-        self.store.import_state(state["store"])
-        self._paused_until = float(state["paused_until"])
-        self._work_credit = float(state["work_credit"])
-        self._backlog_ewma = float(state["backlog_ewma"])
-        self._pause_log = list(state["pause_log"])
-        self.total_stored = int(state["total_stored"])
-        self.total_probed = int(state["total_probed"])
-        self.total_results = float(state["total_results"])
-        counts = state["result_counts"]
-        if counts is not None:
-            rc = defaultdict(float)
-            rc.update(counts)
-            self._result_counts = rc
-        elif self._result_counts is not None:
-            self._result_counts = defaultdict(float)
-        ft_state = state["ft"]
-        if ft_state is not None:
-            if self._ft is None:
-                raise ConfigError(
-                    "imported state carries fault-tolerance data but this "
-                    "instance has no checkpointer attached"
-                )
-            self._ft.import_state(ft_state)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"JoinInstance(id={self.instance_id}, side={self.side}, "

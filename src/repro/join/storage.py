@@ -360,21 +360,5 @@ class KeyedStore:
         self._overflow.clear()
         self._total = 0
 
-    # -- state transfer (sharded execution, DESIGN §10) -------------------- #
-
-    def export_state(self) -> dict:
-        """Serializable snapshot: dense table (exact length, so growth
-        timing survives a round-trip), overflow dict and cached total."""
-        return {
-            "dense": self._dense.copy(),
-            "overflow": dict(self._overflow),
-            "total": self._total,
-        }
-
-    def import_state(self, state: dict) -> None:
-        self._dense = np.array(state["dense"], dtype=np.int64)
-        self._overflow = dict(state["overflow"])
-        self._total = int(state["total"])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyedStore(total={self._total}, keys={self.n_keys})"

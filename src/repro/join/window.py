@@ -228,30 +228,6 @@ class WindowedStore:
         self._head = (self._head + 1) % self._n_subwindows
         return n
 
-    # -- state transfer (sharded execution, DESIGN §10) -------------------- #
-
-    def export_state(self) -> dict:
-        """Serializable snapshot: inner store, ring matrix (exact width,
-        so widening timing survives a round-trip), overflow rows, head."""
-        return {
-            "inner": self._store.export_state(),
-            "ring": self._ring.copy(),
-            "overflow": [dict(d) for d in self._overflow],
-            "head": self._head,
-            "n_subwindows": self._n_subwindows,
-        }
-
-    def import_state(self, state: dict) -> None:
-        if int(state["n_subwindows"]) != self._n_subwindows:
-            raise ConfigError(
-                "windowed-store import with mismatched sub-window count "
-                f"({state['n_subwindows']} != {self._n_subwindows})"
-            )
-        self._store.import_state(state["inner"])
-        self._ring = np.array(state["ring"], dtype=np.int64)
-        self._overflow = [dict(d) for d in state["overflow"]]
-        self._head = int(state["head"])
-
     def subwindow_sizes(self) -> list[int]:
         """Sizes of the sub-windows, oldest first (monitor's vector view)."""
         order = [

@@ -183,9 +183,6 @@ class Observability:
         ``meta`` (system name, workload, seed...) is emitted as the trace's
         ``run_meta`` header event so ``inspect`` can label its report,
         together with the kernel path (:func:`repro.engine.ckernels.describe`).
-        The shard count is not part of the header: a sharded trace must
-        equal the serial one once ``shard`` events are filtered out, and
-        the ``shard`` fork event carries the worker count.
         """
         from ..engine import ckernels
 
@@ -449,27 +446,6 @@ class Observability:
                 now, "scale",
                 direction=kind, count=int(count), n_per_side=int(n_per_side),
                 trigger=trigger,
-            )
-
-    def on_shard_event(
-        self, kind: str, now: float, shards: int, detail: int
-    ) -> None:
-        """Sharded-execution lifecycle (repro.engine.shard).
-
-        ``kind`` is ``"fork"``/``"refork"``/``"shutdown"`` (``shards`` =
-        worker count, ``detail`` = instances covered) or ``"barrier"``
-        (``shards`` = the shard quiesced, ``detail`` = instances pulled).
-        These are parent-side lifecycle markers: they never enter the
-        metrics collector, so aggregate results stay byte-identical to a
-        serial run — consumers comparing traces across shard counts must
-        filter the ``shard`` event type.
-        """
-        if self.bus is not None:
-            # ``op`` rather than ``kind``: the latter is the event type's
-            # own field (mirrors on_scale's ``direction``).
-            self.bus.emit(
-                now, "shard",
-                op=kind, shards=int(shards), detail=int(detail),
             )
 
     def on_recovery(

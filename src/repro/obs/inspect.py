@@ -3,9 +3,9 @@
 ``python -m repro inspect run.jsonl`` reconstructs, from events alone:
 
 - the per-second throughput / processed / latency series (the section
-  VI-A measurements) — rebinned exactly like
-  :meth:`~repro.engine.metrics.MetricsCollector.finalize`, so a traced
-  run's series match its :class:`~repro.engine.metrics.RunMetrics`;
+  VI-A measurements) — rebinned by the engine's own
+  :func:`~repro.engine.metrics.bin_per_second`, so a traced run's series
+  match its :class:`~repro.engine.metrics.RunMetrics`;
 - the per-side LI series and the per-instance load envelope over time
   (the Fig. 1c view), from ``li_sample`` events;
 - every migration span as a phase waterfall (the Fig. 11 view), from
@@ -13,8 +13,8 @@
 - the top-N hot keys, from the per-dispatch key summaries.
 
 The module is read-only over the trace format defined in
-:mod:`repro.obs.events`; it never imports the engine, so traces can be
-inspected anywhere the package is installed.
+:mod:`repro.obs.events`; of the engine it uses only the binning function,
+so traces can be inspected anywhere the package is installed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..attribution import close_decomposition
+from ..engine.metrics import PerSecond, bin_per_second
 from .events import MIGRATION_PHASES
 
 __all__ = [
@@ -141,66 +141,41 @@ class InspectReport:
         return [s for s in self.spans if s.complete]
 
 
-def _per_second(events: list[dict]) -> tuple[np.ndarray, ...]:
-    """Rebin service events exactly like ``MetricsCollector.finalize``."""
+def _per_second(events: list[dict]) -> PerSecond:
+    """Rebin service and LI events with the engine's own binning.
+
+    Traces without component fields (pre-attribution recordings) degrade
+    to queue_wait == latency_mean, keeping the identity trivially true.
+    """
     service = [e for e in events if e["kind"] == "service"]
     li_events = [e for e in events if e["kind"] == "li_sample"]
     max_time = max(
         (float(e["ts"]) for e in service + li_events), default=0.0
     )
-    n_sec = int(np.ceil(max_time)) if max_time > 0 else 1
-    seconds = np.arange(1, n_sec + 1, dtype=np.float64)
-    thr = np.zeros(n_sec)
-    proc = np.zeros(n_sec)
-    lat_sum = np.zeros(n_sec)
-    lat_cnt = np.zeros(n_sec, dtype=np.int64)
-    sv_sum = np.zeros(n_sec)
-    mg_sum = np.zeros(n_sec)
-    rc_sum = np.zeros(n_sec)
-    for e in service:
-        sec = min(int(float(e["ts"])), n_sec - 1)
-        thr[sec] += float(e.get("n_results", 0.0))
-        proc[sec] += float(e.get("n_processed", 0))
-        lat_sum[sec] += float(e.get("latency_sum", 0.0))
-        lat_cnt[sec] += int(e.get("latency_count", 0))
-        sv_sum[sec] += float(e.get("comp_service", 0.0))
-        mg_sum[sec] += float(e.get("comp_migration", 0.0))
-        rc_sum[sec] += float(e.get("comp_recovery", 0.0))
-    lat = np.full(n_sec, np.nan)
-    nz = lat_cnt > 0
-    lat[nz] = lat_sum[nz] / lat_cnt[nz]
-    # Attribution mean series: mirror RunMetrics — per-tuple means, with
-    # the queue-wait residual closed bit-exactly against the latency mean.
-    # Traces without component fields (pre-attribution recordings) degrade
-    # to queue_wait == latency_mean, keeping the identity trivially true.
-    comps = {
-        "queue_wait": np.full(n_sec, np.nan),
-        "service": np.full(n_sec, np.nan),
-        "migration_pause": np.full(n_sec, np.nan),
-        "recovery_pause": np.full(n_sec, np.nan),
-    }
-    comps["service"][nz] = sv_sum[nz] / lat_cnt[nz]
-    comps["migration_pause"][nz] = mg_sum[nz] / lat_cnt[nz]
-    comps["recovery_pause"][nz] = rc_sum[nz] / lat_cnt[nz]
-    for i in np.nonzero(nz)[0].tolist():
-        (
-            comps["queue_wait"][i],
-            comps["service"][i],
-            comps["migration_pause"][i],
-            comps["recovery_pause"][i],
-        ) = close_decomposition(
-            float(lat[i]),
-            float(comps["service"][i]),
-            float(comps["migration_pause"][i]),
-            float(comps["recovery_pause"][i]),
-        )
-    li: dict[str, np.ndarray] = {}
+    secs = [int(float(e["ts"])) for e in service]
+
+    def column(name: str) -> list[tuple[int, float]]:
+        return [(sec, float(e.get(name, 0.0))) for sec, e in zip(secs, service)]
+
+    li: dict[str, list[tuple[float, float]]] = {}
     for e in li_events:
-        side = e.get("side", "?")
-        arr = li.setdefault(side, np.full(n_sec, np.nan))
-        sec = min(int(float(e["ts"])), n_sec - 1)
-        arr[sec] = float(e["li"])  # last sample in the second wins
-    return seconds, thr, proc, lat, li, comps
+        li.setdefault(e.get("side", "?"), []).append(
+            (float(e["ts"]), float(e["li"]))
+        )
+    return bin_per_second(
+        max_time,
+        results=column("n_results"),
+        processed=column("n_processed"),
+        latency=[
+            (sec, float(e.get("latency_sum", 0.0)),
+             int(e.get("latency_count", 0)))
+            for sec, e in zip(secs, service)
+        ],
+        service=column("comp_service"),
+        migration=column("comp_migration"),
+        recovery=column("comp_recovery"),
+        li=li,
+    )
 
 
 def _envelope(events: list[dict]) -> dict:
@@ -278,24 +253,24 @@ def build_report(events: list[dict]) -> InspectReport:
         raise TraceFormatError("trace contains no events")
     kind_counts = dict(TallyCounter(e["kind"] for e in events))
     meta = next((e for e in events if e["kind"] == "run_meta"), {})
-    seconds, thr, proc, lat, li, comps = _per_second(events)
+    binned = _per_second(events)
     ticks = [e for e in events if e["kind"] == "tick"]
     return InspectReport(
         meta={k: v for k, v in meta.items() if k not in ("ts", "kind")},
         n_events=len(events),
         kind_counts=kind_counts,
-        seconds=seconds,
-        throughput=thr,
-        processed=proc,
-        latency_mean=lat,
-        li=li,
+        seconds=binned.seconds,
+        throughput=binned.throughput,
+        processed=binned.processed,
+        latency_mean=binned.latency_mean,
+        li=binned.li,
         envelope=_envelope(events),
         spans=_spans(events),
         hot_keys=_hot_keys(events),
         guard_violations=[e for e in events if e["kind"] == "guard_violation"],
         n_ticks=len(ticks),
         n_throttled=sum(1 for e in ticks if e.get("throttled")),
-        components=comps,
+        components=binned.components,
     )
 
 

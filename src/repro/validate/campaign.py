@@ -61,7 +61,6 @@ class DifferentialTask:
     capture: bool = False
     fault_spec: str | None = None   # run the cell under fault injection
     elastic_spec: str | None = None  # run the cell under elastic scaling
-    shards: int = 1                 # worker processes per run (bit-exact)
 
     @property
     def label(self) -> str:
@@ -107,7 +106,6 @@ def run_differential_task(task: DifferentialTask) -> DifferentialOutcome:
                 fault_spec=task.fault_spec,
                 elastic_spec=task.elastic_spec,
                 obs=obs,
-                shards=task.shards,
             )
             outcome = DifferentialOutcome(task=task, report=report)
         except ValidationError as exc:

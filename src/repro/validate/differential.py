@@ -221,7 +221,6 @@ class DifferentialHarness:
         elastic_spec: str | None = None,
         config_overrides: dict | None = None,
         obs=None,
-        shards: int = 1,
     ) -> None:
         self.system = system
         self.workload = workload
@@ -283,13 +282,6 @@ class DifferentialHarness:
                     },
                 )
             )
-        if shards > 1:
-            # Attached last: sharding must wrap the fully-wired runtime
-            # (monitors, faults, elastic, guards, obs all hooked up).
-            from ..engine.shard import ShardCoordinator
-
-            self.runtime.attach_sharding(ShardCoordinator(shards))
-        self.shards = shards
         self.oracle = ExactBiclique(
             n_instances,
             dispatch_delay=self.config.dispatch_delay_base
@@ -331,34 +323,27 @@ class DifferentialHarness:
     def run(self, max_extra_ticks: int = 100_000) -> DifferentialReport:
         """Run ``ticks`` ticks, drain both engines, and cross-check."""
         rt = self.runtime
-        try:
-            for _ in range(self.ticks):
-                t0 = rt.clock.now
-                rt.step()
-                self._mirror_tick(t0)
-            # Drain: the comparison is only defined on the complete output.
-            extra = 0
-            while not (
-                self.r_tap.exhausted
-                and self.s_tap.exhausted
-                and rt._backlog() == 0
-            ):
-                t0 = rt.clock.now
-                rt.step()
-                self._mirror_tick(t0)
-                extra += 1
-                if extra > max_extra_ticks:
-                    raise SimulationError(
-                        f"differential run failed to drain within "
-                        f"{max_extra_ticks} extra ticks "
-                        f"(backlog={rt._backlog()})"
-                    )
-        finally:
-            if rt._shard is not None:
-                # The comparison below reads live stores/result tallies;
-                # pull every instance home and retire the workers first
-                # (and never leak worker processes on an error path).
-                rt._shard.shutdown(rt)
+        for _ in range(self.ticks):
+            t0 = rt.clock.now
+            rt.step()
+            self._mirror_tick(t0)
+        # Drain: the comparison is only defined on the complete output.
+        extra = 0
+        while not (
+            self.r_tap.exhausted
+            and self.s_tap.exhausted
+            and rt._backlog() == 0
+        ):
+            t0 = rt.clock.now
+            rt.step()
+            self._mirror_tick(t0)
+            extra += 1
+            if extra > max_extra_ticks:
+                raise SimulationError(
+                    f"differential run failed to drain within "
+                    f"{max_extra_ticks} extra ticks "
+                    f"(backlog={rt._backlog()})"
+                )
         self.oracle.drain(rt.clock.now + 10.0)
         return self._compare(extra)
 

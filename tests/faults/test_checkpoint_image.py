@@ -9,7 +9,6 @@ dense table's growth.  Keys include overflow keys (negative and at or
 beyond ``DENSE_KEY_CAP``) and a dense key that forces the table to grow.
 """
 
-import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -138,21 +137,6 @@ class CheckpointImageMachine(RuleBasedStateMachine):
         self.live = Counter(expected)
         self.image = expected
         self.wal.clear()
-
-    @rule()
-    def export_import_round_trip(self):
-        state = pickle.loads(pickle.dumps(self.ckptr.export_state()))
-        fresh = InstanceCheckpointer(self.ckptr.inst)
-        fresh.import_state(state)
-        for name in ("keys", "counts"):
-            assert np.array_equal(getattr(fresh, name), getattr(self.ckptr, name))
-        assert len(fresh.wal) == len(self.ckptr.wal)
-        for a, b in zip(fresh.wal, self.ckptr.wal):
-            assert np.array_equal(a, b)
-        for name in ("watermark", "crashed", "last_checkpoint_time",
-                     "n_checkpoints", "n_recoveries"):
-            assert getattr(fresh, name) == getattr(self.ckptr, name)
-        self.ckptr = fresh
 
     # -- invariants ------------------------------------------------------ #
 
