@@ -441,7 +441,7 @@ def compare_reports(
                 cmp.failures.append(message)
         cmp.lines.append(
             f"{name}: {rate:,.0f} vs baseline {base_rate:,.0f} tuples/s "
-            f"({ratio:+.0%} rel) {verdict}"
+            f"({ratio - 1.0:+.0%} rel) {verdict}"
         )
         for fld in _EXACT_FIELDS:
             if case[fld] != base[fld]:

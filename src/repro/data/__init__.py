@@ -10,7 +10,6 @@ from .distributions import (
 )
 from .ridehailing import RideHailingSpec, RideHailingWorkload
 from .streams import StreamSource
-from .trace_io import TraceSource, export_stream_sample, read_trace, write_trace
 from .synthetic import SKEW_GROUPS, SyntheticGroupSpec, group_label, make_group_sources
 
 __all__ = [
@@ -23,10 +22,6 @@ __all__ = [
     "RideHailingSpec",
     "RideHailingWorkload",
     "StreamSource",
-    "TraceSource",
-    "write_trace",
-    "read_trace",
-    "export_stream_sample",
     "SKEW_GROUPS",
     "SyntheticGroupSpec",
     "group_label",

@@ -3,18 +3,21 @@
 The hot path's cost is dominated by *dispatch*: a mixed service chunk runs
 tens of numpy kernels over arrays of ~100 elements, so the per-call fixed
 cost of each kernel rivals the work it does.  This module collapses the
-worst offender — the intra-chunk prior-same-key-store correction, a
-sort-based 17-kernel pipeline — into one O(n) C pass over dense per-key
-counters.
+per-chunk service computation into two C passes: ``psk_correct``, the
+intra-chunk prior-same-key-store correction (a sort-based pipeline in
+numpy), as one O(n) pass over dense per-key counters, and
+``step_service``, the costs, cumsum, credit cutoff and latency vectors.
+:mod:`repro.join.service` wraps them as the C service kernel and chooses
+between it and the numpy kernel once per join instance.
 
 The kernels are built lazily with cffi against the system C compiler and
 cached under the user's temp directory, keyed by a hash of the source; a
 build is attempted at most once per process.  Everything degrades
 gracefully: if cffi or a compiler is missing (or ``REPRO_NO_CKERNELS`` is
-set), ``lib`` stays ``None`` and callers keep their pure-numpy paths.  The
-C code is deliberately scalar and integer-only, so its results are
-bit-identical to the numpy implementation by construction — the
-differential test battery asserts exactly that.
+set), ``lib`` stays ``None`` and every instance serves on the numpy
+kernel.  The C code replicates the numpy kernel's operations in the same
+order, so its results are bit-identical — ``tests/engine/test_ckernels.py``
+asserts exactly that.
 
 Ownership contract for ``psk_correct``'s counter buffer: all-zero on
 entry, restored to all-zero before returning (the second loop), so one
@@ -56,7 +59,7 @@ void psk_correct(const int64_t *keys, const unsigned char *store,
 /* The whole per-chunk service computation of JoinInstance.step in one
  * pass: per-tuple costs (ScanCost model=0 / IndexedCost model=1),
  * sequential cost cumsum, credit cutoff, taken-store count, integer
- * result sum over taken probes, then in-place latency and (optional)
+ * result sum over taken probes, then in-place latency and
  * service-attribution vectors.  Every float operation replicates the
  * numpy implementation's elementwise op order exactly (each step rounds
  * once, like the corresponding ufunc), and the cumsum is sequential in
@@ -65,12 +68,12 @@ void psk_correct(const int64_t *keys, const unsigned char *store,
  *
  * match may be NULL for a pure-store chunk (pure_store != 0).  On
  * return: out_i = {n_take, n_stored, result_sum}, out_d = {spent};
- * costs[0:n_take] holds comp_service when attribution != 0 (garbage
- * otherwise), cum[0:n_take] holds the final latencies. */
+ * costs[0:n_take] holds comp_service, cum[0:n_take] holds the final
+ * latencies. */
 void step_service(const int64_t *match, const unsigned char *store,
                   const double *times, double *costs, double *cum,
                   int64_t n, int64_t store_total, int model,
-                  int pure_store, int attribution,
+                  int pure_store,
                   double store_cost, double probe_base, double scan_coeff,
                   double emit_cost, double credit, double capacity,
                   double now, double lat_offset,
@@ -132,11 +135,9 @@ void step_service(const int64_t *match, const unsigned char *store,
         l += now;
         l -= times[i];
         if (!(l > 0.0)) l = 0.0;
-        if (attribution) {
-            double s = costs[i] / capacity;
-            if (s > l) s = l;
-            costs[i] = s;
-        }
+        double s = costs[i] / capacity;
+        if (s > l) s = l;
+        costs[i] = s;
         l += lat_offset;
         cum[i] = l;
     }
@@ -152,7 +153,7 @@ void psk_correct(const int64_t *keys, const unsigned char *store,
 void step_service(const int64_t *match, const unsigned char *store,
                   const double *times, double *costs, double *cum,
                   int64_t n, int64_t store_total, int model,
-                  int pure_store, int attribution,
+                  int pure_store,
                   double store_cost, double probe_base, double scan_coeff,
                   double emit_cost, double credit, double capacity,
                   double now, double lat_offset,

@@ -23,170 +23,16 @@ import numpy as np
 
 from ..core.selection.base import SelectionProblem
 from ..core.load_model import InstanceLoad
-from ..engine import ckernels as _ck
 from ..engine.arena import Arena
-from ..engine.cost import CostModel, IndexedCost, ScanCost
+from ..engine.cost import CostModel, ScanCost
 from ..engine.queues import TupleQueue
-from ..engine.tuples import OP_PROBE, OP_STORE, Batch
+from ..engine.tuples import OP_STORE, Batch
 from ..errors import ConfigError, StorageError
+from .service import _count_nonzero, select_kernel, track_results
 from .storage import KeyedStore, sorted_union
 from .window import WindowedStore
 
 __all__ = ["JoinInstance", "ServiceReport"]
-
-
-def _prior_same_key_stores(
-    keys: np.ndarray, store_mask: np.ndarray
-) -> np.ndarray:
-    """For each position, how many *store* ops with the same key precede it
-    within the chunk (exclusive).  Makes intra-tick join results exact: a
-    probe sees every store that was served before it, even in the same
-    service chunk.  One stable argsort groups equal keys while preserving
-    position order within each group; no key-compaction pass is needed.
-    """
-    n = keys.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")  # groups keys, preserves position order
-    keys_sorted = keys[order]
-    flags_sorted = store_mask[order]
-    excl = flags_sorted.cumsum()
-    excl -= flags_sorted  # exclusive global prefix of store flags
-    start = np.empty(n, dtype=bool)
-    start[0] = True
-    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=start[1:])
-    # exclusive within-group prefix: global exclusive prefix minus the
-    # prefix at each group's start.  ``excl`` is non-decreasing, so a
-    # running maximum over the group-start values broadcasts each group's
-    # base without materialising segment lengths.
-    base = np.maximum.accumulate(np.where(start, excl, 0))
-    out = np.empty(n, dtype=np.int64)
-    out[order] = excl - base
-    return out
-
-
-try:  # pragma: no cover - plain count_nonzero on other numpy layouts
-    # The C kernel directly: the np.count_nonzero wrapper's axis handling
-    # costs as much as counting a chunk-sized mask.
-    _count_nonzero = np._core.multiarray.count_nonzero
-except AttributeError:  # pragma: no cover
-    _count_nonzero = np.count_nonzero
-
-#: Dense same-key counter cap for the fused C correction: bounds above
-#: this would ask for a >16 MB counter table, so such chunks (no shipped
-#: workload comes close) stay on the numpy paths.
-_PSK_C_CAP = 1 << 21
-
-
-#: Below this chunk length the dict-based scalar loop beats the vector
-#: pipeline: ~10 numpy calls plus a sort cost more than n dict operations
-#: until n is well past a hundred (measured crossover ~140 on the bench
-#: cells), and the scalar path needs no key-range guard because Python
-#: ints never overflow the composite.
-_PSK_SMALL_N = 128
-
-
-def _accumulate_prior_same_key_stores(
-    keys: np.ndarray,
-    store_mask: np.ndarray,
-    match_counts: np.ndarray,
-    arena: Arena,
-    bounds: tuple[int, int] | None = None,
-) -> None:
-    """Add each position's prior-same-key-store count into ``match_counts``.
-
-    Allocation-free equivalent of ``match_counts += _prior_same_key_stores``
-    for the hot path.  Small chunks (the typical case: service chunks run a
-    few dozen tuples) take a scalar dict loop — integer adds, bit-identical
-    by construction.  Larger chunks replace the stable argsort over keys
-    with an *in-place* sort of the composite ``key << 32 | position`` into
-    arena scratch (unique composites make the sorted order identical to the
-    stable grouped-by-key order — the same trick the dispatcher's counting
-    scatter uses), and every intermediate lives in the arena.  The final
-    scatter-add ``np.add.at(match_counts, positions, within_group_prefix)``
-    is the permutation-inverse of the reference implementation's fancy
-    assignment, so the accumulated values are bit-identical.
-
-    Keys outside ``[0, 2**31)`` cannot ride the composite; such chunks
-    (never produced by the shipped workloads) fall back to the reference
-    implementation.  ``bounds`` is the caller's conservative key range
-    (the queue's push-time bounds); when given it replaces the per-call
-    min/max guard reductions.
-    """
-    n = keys.shape[0]
-    if n == 0:
-        return
-    if _ck.lib is not None and bounds is not None:
-        lo, hi = bounds
-        if 0 <= lo and hi < _PSK_C_CAP:
-            # Fused C pass: one O(n) scalar loop over dense per-key running
-            # counters replaces the whole pipeline below.  Integer adds in
-            # the same per-position order as the reference — bit-identical
-            # by construction.  The counter buffer is all-zero between
-            # calls (the kernel un-writes the slots it touched), so
-            # ``Arena.zeros`` never has to clear it on the steady path.
-            cnt = arena.zeros("psk_cnt", hi + 1, np.int64)
-            f = _ck.ffi
-            _ck.lib.psk_correct(
-                f.from_buffer("int64_t[]", keys),
-                f.from_buffer("unsigned char[]", store_mask),
-                f.from_buffer("int64_t[]", match_counts),
-                n,
-                f.from_buffer("int64_t[]", cnt),
-            )
-            return
-    if n <= _PSK_SMALL_N:
-        counts: dict[int, int] = {}
-        counts_get = counts.get
-        for i, (k, is_store) in enumerate(
-            zip(keys.tolist(), store_mask.tolist())
-        ):
-            c = counts_get(k)
-            if c:
-                match_counts[i] += c
-            if is_store:
-                counts[k] = (c + 1) if c else 1
-        return
-    if bounds is not None:
-        lo, hi = bounds
-    else:
-        lo = int(keys.min())
-        hi = int(keys.max())
-    if lo < 0 or hi >= (1 << 31):
-        match_counts += _prior_same_key_stores(keys, store_mask)
-        return
-    # One int64 block and one bool block instead of six tagged lookups:
-    # arena.array is on the per-step path often enough that the dict
-    # round-trips are measurable.
-    iblk = arena.array("psk_i", 3 * n, np.int64)
-    bblk = arena.array("psk_b", 2 * n, np.bool_)
-    packed = iblk[:n]
-    np.multiply(keys, 1 << 32, out=packed)
-    np.add(packed, arena.iota(n), out=packed)
-    packed.sort()
-    idx = iblk[n : 2 * n]
-    np.bitwise_and(packed, 0xFFFFFFFF, out=idx)
-    np.right_shift(packed, 32, out=packed)  # now the grouped (sorted) keys
-    flags = bblk[:n]
-    store_mask.take(idx, out=flags, mode="clip")
-    excl = iblk[2 * n : 3 * n]
-    np.copyto(excl, flags, casting="unsafe")
-    excl.cumsum(out=excl)
-    np.subtract(excl, flags, out=excl)  # exclusive global store prefix
-    start = bblk[n : 2 * n]
-    start[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=start[1:])
-    base = packed  # the grouped keys are dead once ``start`` is taken
-    np.multiply(excl, start, out=base)  # == where(start, excl, 0): ints
-    np.maximum.accumulate(base, out=base)
-    np.subtract(excl, base, out=excl)  # exclusive within-group prefix
-    # ``idx`` is a permutation (each position appears exactly once), so the
-    # scatter-add degenerates to gather + integer add + fancy assignment —
-    # identical values without ufunc.at's slow buffered path.
-    gathered = base  # and the group bases are dead once ``excl`` is final
-    match_counts.take(idx, out=gathered)
-    np.add(gathered, excl, out=gathered)
-    match_counts[idx] = gathered
 
 
 @dataclass
@@ -197,8 +43,8 @@ class ServiceReport:
     attribution identity (DESIGN §5): per-tuple service time and per-tuple
     overlap with migration/recovery pauses, aligned with ``latencies``.
     ``comp_migration``/``comp_recovery`` stay None when no pause interval
-    overlapped the chunk (the common case); all three are None when the
-    instance's attribution accounting is switched off.  Queue wait is not
+    can overlap the chunk (the common case) — consumers read None as all
+    zeros; ``comp_service`` is None only on idle reports.  Queue wait is not
     reported — it is the residual that closes the identity, derived by the
     metrics collector (:func:`repro.attribution.close_residual`).
 
@@ -304,22 +150,10 @@ class JoinInstance:
             ),
             1e-9,
         )
-        self._cost_uses_sizes = getattr(self.cost_model, "uses_store_sizes", True)
-        # Fused C service kernel (ckernels.step_service): only the two
-        # shipped cost models have their exact float-op order baked into
-        # the kernel, so an exact type check gates it — subclasses with an
-        # overridden probe_costs take the numpy path.  -1 = unavailable.
-        if _ck.lib is not None and type(self.cost_model) is ScanCost:
-            self._c_model = 0
-        elif _ck.lib is not None and type(self.cost_model) is IndexedCost:
-            self._c_model = 1
-        else:
-            self._c_model = -1
-        self._c_probe_base = float(getattr(self.cost_model, "probe_base", 0.0))
-        self._c_scan_coeff = float(getattr(self.cost_model, "scan_coeff", 0.0))
-        self._c_emit_cost = float(getattr(self.cost_model, "emit_cost", 0.0))
-        self._c_out_i = np.empty(3, dtype=np.int64)
-        self._c_out_d = np.empty(1, dtype=np.float64)
+        # The per-chunk service kernel (repro.join.service), chosen once:
+        # C when the kernels are built and the cost model is exactly one of
+        # the two shipped types, numpy otherwise.
+        self.service_kernel, self._service = select_kernel(self.cost_model)
         # Exponential moving average of the probe backlog, with time
         # constant tau.  The monitor reads this smoothed value: an
         # instantaneous queue length sampled once a second is a noisy load
@@ -339,16 +173,11 @@ class JoinInstance:
         self.total_probed = 0
         self.total_results = 0.0
         # Opt-in per-key join-result accounting for the differential
-        # validation layer (repro.validate).  Off by default: the datapath
-        # pays only one ``is None`` test per tick when disabled.
+        # validation layer (repro.validate); enabling it wraps the kernel.
         self._result_counts: dict[int, float] | None = None
-        # Optional observability bundle (repro.obs); same one-test contract.
+        # Optional observability bundle (repro.obs): the datapath pays one
+        # ``is None`` test per served tick when it is absent.
         self.obs = None
-        # Latency attribution (DESIGN §5): per-tuple service/pause
-        # components reported alongside latencies.  On by default — the
-        # accounting is two in-place vector ops on buffers the tick already
-        # produced — but switchable for overhead measurement.
-        self.attribution = True
         # Tagged pause intervals (start, end, cause) with cause in
         # {"migration", "recovery"}: sorted, non-overlapping, merged when
         # contiguous.  Served tuples attribute the part of their wait that
@@ -424,9 +253,7 @@ class JoinInstance:
             self._pause_log = [iv for iv in log if iv[1] > floor]
 
     def _pause_overlaps(
-        self,
-        taken_times: np.ndarray,
-        bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        self, taken_times: np.ndarray, scratch: np.ndarray | None = None
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Per-tuple overlap of [arrival, service] with tagged pauses.
 
@@ -434,23 +261,21 @@ class JoinInstance:
         (the instance only serves once ``_paused_until`` expired), so a
         tuple taken at time ``a`` overlaps interval ``(s, e)`` for exactly
         ``max(e - max(a, s), 0)`` seconds — no completion times needed.
+
+        The component vectors ride in the (reused) ServiceReport, so they
+        live in ``scratch`` (three vectors' worth of arena memory; ``step``
+        passes the tail of its per-tick float block, grown during warm-up)
+        — fresh allocations here would survive the tick in the recycled
+        report and break the steady-state allocation budget.
         """
+        n = taken_times.shape[0]
+        if scratch is None:
+            scratch = self._arena.array("pause", 3 * n, np.float64)
+        mig_buf = scratch[:n]
+        rec_buf = scratch[n : 2 * n]
+        ov_buf = scratch[2 * n : 3 * n]
         mig: np.ndarray | None = None
         rec: np.ndarray | None = None
-        # The component vectors ride in the (reused) ServiceReport, so they
-        # must live in scratch the arena already grew — fresh allocations
-        # here would survive the tick in the recycled report and break the
-        # steady-state allocation budget.  ``step()`` passes slices of its
-        # per-tick float block (sized during warm-up); direct callers fall
-        # back to dedicated arena tags.
-        if bufs is not None:
-            mig_buf, rec_buf, ov_buf = bufs
-        else:
-            arena = self._arena
-            n = taken_times.shape[0]
-            mig_buf = arena.array("pause_mig", n, np.float64)
-            rec_buf = arena.array("pause_rec", n, np.float64)
-            ov_buf = arena.array("pause_ov", n, np.float64)
         for start, end, cause in self._pause_log:
             if cause == "migration":
                 dst, fresh = mig, mig is None
@@ -482,9 +307,7 @@ class JoinInstance:
             self._backlog_ewma = float(queue.probe_backlog)
         # A crashed instance serves nothing; its (durable) queue keeps
         # absorbing dispatched tuples until the injector recovers it.
-        if self._ft is not None and self._ft.crashed:
-            return _IDLE_REPORT
-        if now < self._paused_until:
+        if (self._ft is not None and self._ft.crashed) or now < self._paused_until:
             return _IDLE_REPORT
         self._paused_until = 0.0
 
@@ -502,177 +325,58 @@ class JoinInstance:
         # backlogged queues.
         affordable = int(credit / self._floor_cost) + 1
         batch = queue.peek_visible(now + dt, limit=min(self._max_chunk, affordable))
-        n_visible = len(batch)
-        if n_visible == 0:
+        n = len(batch)
+        if n == 0:
             self._work_credit = min(credit, 0.0)
             return _IDLE_REPORT
 
-        # The chunk's store/probe composition picks one of three paths:
-        # all-store chunks never consult the keyed store, all-probe chunks
-        # (the common case under broadcast probes) skip the store-prefix
-        # cumsum and the boolean-mask copies, and only mixed chunks pay for
-        # the intra-chunk same-key correction.  Every vector below lives in
-        # the instance's arena, so a steady-state tick allocates nothing
-        # (DESIGN §9); ``costs``/``cum`` escape into the ServiceReport and
-        # stay valid until the next step.
+        # One arena block per dtype (layout in repro.join.service): a
+        # steady-state tick allocates nothing (DESIGN §9), and the report's
+        # arrays alias the blocks until the next step.
         arena = self._arena
+        fblk = arena.array("step_f", 6 * n, np.float64)
+        iblk = arena.array("step_i", 3 * n, np.int64)
+        bblk = arena.array("step_b", 2 * n, np.bool_)
+        store_mask = bblk[:n]
+        np.equal(batch.ops, OP_STORE, out=store_mask)
+        n_stores = int(_count_nonzero(store_mask))
         # Push-time key bounds: one conservative range check replaces the
         # store's per-call min/max reductions (see TupleQueue.key_bounds).
         key_bounds = (queue._key_lo, queue._key_hi)
-        # Scratch is fetched as one block per dtype and sliced here: the
-        # per-tag arena lookups are cheap but frequent enough on this path
-        # that three fetches beat eight.
-        # Six float slots: costs, cum, probe scratch, and three for the
-        # pause-attribution vectors — carving the latter out of the same
-        # per-tick block means their backing memory is grown during
-        # warm-up, not on the first post-pause steady tick.
-        fblk = arena.array("step_f", 6 * n_visible, np.float64)
-        iblk = arena.array("step_i", 3 * n_visible, np.int64)
-        bblk = arena.array("step_b", 2 * n_visible, np.bool_)
-        store_mask = bblk[:n_visible]
-        np.equal(batch.ops, OP_STORE, out=store_mask)
-        n_stores_visible = int(_count_nonzero(store_mask))
-        any_stores = n_stores_visible > 0
-        pure_store = n_stores_visible == n_visible
-        store_cost = self.cost_model.store_cost
-        costs = fblk[:n_visible]
-        cum = fblk[n_visible : 2 * n_visible]
-        if pure_store:
-            # Pure store chunk: no probes, no matches, uniform cost.
-            match_counts = None
-        else:
-            # Matches are exact even intra-chunk: stored count at chunk
-            # start (a dense-table gather on the raw keys) plus same-key
-            # stores served earlier in this chunk.  The intra-chunk
-            # correction only exists when the chunk contains stores, so
-            # probe-only chunks skip the grouping pass entirely.
-            match_counts = self._match_counts(
-                batch.keys,
-                out=iblk[:n_visible],
-                bounds=key_bounds,
-            )
-            if any_stores:
-                # Positions before the chunk's first store need no
-                # correction, so the grouping pass runs on the suffix only —
-                # usually just the tail blocks of a mostly-probe chunk.
-                i0 = int(store_mask.argmax())
-                _accumulate_prior_same_key_stores(
-                    batch.keys[i0:], store_mask[i0:], match_counts[i0:],
-                    arena, bounds=key_bounds,
-                )
-        fused = self._c_model >= 0
-        if fused:
-            # Fused C service kernel (ckernels.step_service): costs,
-            # cumsum, credit cutoff, taken-store count, result sum,
-            # latencies and attribution in one pass over the same arena
-            # buffers the numpy chain below uses — bit-identical outputs
-            # (the kernel replicates each ufunc's op order exactly).
-            f = _ck.ffi
-            out_i = self._c_out_i
-            out_d = self._c_out_d
-            _ck.lib.step_service(
-                f.NULL
-                if match_counts is None
-                else f.from_buffer("int64_t[]", match_counts),
-                f.from_buffer("unsigned char[]", store_mask),
-                f.from_buffer("double[]", batch.times),
-                f.from_buffer("double[]", costs),
-                f.from_buffer("double[]", cum),
-                n_visible,
-                self.store.total,
-                self._c_model,
-                1 if pure_store else 0,
-                1 if self.attribution else 0,
-                store_cost,
-                self._c_probe_base,
-                self._c_scan_coeff,
-                self._c_emit_cost,
-                credit,
-                self.capacity,
-                now,
-                self.latency_offset,
-                f.from_buffer("int64_t[]", out_i),
-                f.from_buffer("double[]", out_d),
-            )
-            n_take = int(out_i[0])
-        else:
-            if pure_store:
-                costs.fill(float(store_cost))
-            else:
-                if any_stores:
-                    if self._cost_uses_sizes:
-                        # |R_i| in effect at each position: start size plus
-                        # stores already applied earlier in the chunk.
-                        sizes_at = iblk[n_visible : 2 * n_visible]
-                        np.copyto(sizes_at, store_mask, casting="unsafe")
-                        sizes_at.cumsum(out=sizes_at)
-                        np.subtract(sizes_at, store_mask, out=sizes_at)
-                        sizes_at += self.store.total
-                    else:
-                        # The cost model ignores store sizes: skip the
-                        # prefix pass and pass a placeholder.
-                        sizes_at = match_counts
-                else:
-                    # No stores in the chunk: the store size is constant; a
-                    # scalar broadcasts through the cost arithmetic.
-                    sizes_at = np.int64(self.store.total)
-                # probe_costs writes into the arena buffer; overwrite the
-                # store positions in place instead of a second np.where
-                # allocation.
-                costs = self.cost_model.probe_costs(
-                    sizes_at,
-                    match_counts,
-                    out=costs,
-                    scratch=fblk[2 * n_visible : 3 * n_visible],
-                )
-                if any_stores:
-                    np.copyto(costs, store_cost, where=store_mask)
-            costs.cumsum(out=cum)
-            # Serve tuple t while credit is still positive when t starts,
-            # i.e. while its exclusive prefix cost cum[t-1] is < credit
-            # (allows one overdraft tuple, modelling partial service
-            # carried into the next tick).  The first inclusive prefix >=
-            # credit is that boundary.  When even the full chunk fits in
-            # the credit (backlog drained — a frequent steady state) the
-            # scalar tail read settles it without a bisection.
-            if cum[n_visible - 1] < credit:
-                n_take = n_visible
-            else:
-                n_take = int(cum.searchsorted(credit, side="left")) + 1
-                if n_take > n_visible:
-                    n_take = n_visible
+        # Stored count per position at chunk start: a dense-table gather on
+        # the raw keys.  A pure-store chunk never consults the store.
+        match_counts = None if n_stores == n else self._match_counts(
+            batch.keys, out=iblk[:n], bounds=key_bounds
+        )
+        n_take, n_stored, n_results, spent = self._service(
+            self, batch, n_stores, match_counts, key_bounds, credit, now,
+            fblk, iblk, bblk,
+        )
 
-        taken_keys = batch.keys[:n_take]
-        taken_times = batch.times[:n_take]
-        # Sampled before consume() (draining flips the flag back to True):
-        # were the taken times nondecreasing, so taken_times[0] is their
-        # minimum?  Used by the pause-overlap short-circuit below.
-        taken_monotonic = queue._monotonic
-        spent = float(out_d[0]) if fused else float(cum[n_take - 1])
         leftover = credit - spent
-        if n_take == n_visible:
+        if n_take == n:
             # Drained everything visible: idle remainder is not banked.
             leftover = min(leftover, 0.0)
         self._work_credit = leftover
-
-        taken_mask = store_mask[:n_take]
-        if fused:
-            n_stored = int(out_i[1])
-        elif not any_stores:
-            n_stored = 0
-        elif n_take == n_visible:
-            n_stored = n_stores_visible
-        else:
-            n_stored = int(_count_nonzero(taken_mask))
+        taken_keys = batch.keys[:n_take]
+        taken_times = batch.times[:n_take]
+        # Pause overlaps (DESIGN §5): intervals are sorted, so when the taken
+        # times are nondecreasing (flag read before consume() resets it) and
+        # the last interval ends before the first arrival, all are 0: None.
+        comp_migration = comp_recovery = None
+        log = self._pause_log
+        if log and not (queue._monotonic and log[-1][1] <= taken_times[0]):
+            comp_migration, comp_recovery = self._pause_overlaps(
+                taken_times, fblk[3 * n :]
+            )
         n_probed = n_take - n_stored
         queue.consume(n_take, n_probes=n_probed)
         if n_stored:
+            taken_mask = store_mask[:n_take]
             if self._ft is not None:
-                # WAL append: these keys mutate the volatile store, so
-                # crash recovery must be able to replay them on top of
-                # the last checkpoint.  The WAL retains the array, so it
-                # must own fresh memory — the mask-indexed copy here is
-                # the explicit copy-out point, never arena scratch.
+                # WAL append: crash recovery replays these keys on top of
+                # the last checkpoint.  The WAL retains the array, so the
+                # mask-indexed copy is the copy-out point, never scratch.
                 stored_keys = taken_keys[taken_mask]
                 self.store.add_batch(stored_keys)
                 self._ft.record_stores(stored_keys)
@@ -680,90 +384,11 @@ class JoinInstance:
                 # No WAL: scatter the 0/1 store mask over the whole chunk
                 # instead of materialising keys[mask] (bit-identical —
                 # probes add zero).
-                weights = iblk[2 * n_visible : 2 * n_visible + n_take]
+                weights = iblk[2 * n : 2 * n + n_take]
                 np.copyto(weights, taken_mask, casting="unsafe")
                 self.store.add_weighted(
                     taken_keys, weights, n_stored, bounds=key_bounds
                 )
-        if fused:
-            # Integer sum over taken probe positions — order-invariant, so
-            # the kernel's scalar accumulation is exact.
-            n_results = float(out_i[2])
-        elif n_probed == 0:
-            n_results = 0.0
-        elif n_stored == 0:
-            n_results = float(np.add.reduce(match_counts[:n_take]))
-        else:
-            # Sum the probe positions only; a masked reduction over the
-            # integer match counts equals summing the compressed array.
-            nmask = bblk[n_visible : n_visible + n_take]
-            np.logical_not(taken_mask, out=nmask)
-            n_results = float(np.add.reduce(match_counts[:n_take], where=nmask))
-        if self._result_counts is not None and n_probed:
-            # Validation-only accounting: allocating the compacted views
-            # here is fine, the differential harness is not the hot path.
-            counts = self._result_counts
-            if n_stored == 0:
-                probe_keys = taken_keys
-                probe_results = match_counts[:n_take]
-            else:
-                keep = ~taken_mask
-                probe_keys = taken_keys[keep]
-                probe_results = match_counts[:n_take][keep]
-            for k, c in zip(probe_keys.tolist(), probe_results.tolist()):
-                if c:
-                    counts[k] += c
-
-        # Per-tuple completion time within the tick: the instant the tuple's
-        # cumulative work finished at this capacity.  latency = completion -
-        # arrival; the overdraft tuple may nominally finish just past the
-        # tick boundary, which is the intended carry-over semantics.
-        # (latency = max(now + cum/capacity - arrival, 0) + offset, computed
-        # in place on the one fresh division result.)
-        # ``cum`` is not read again after ``spent`` was captured, so the
-        # division happens in place on its buffer.
-        latencies = cum[:n_take]
-        if not fused:
-            latencies /= self.capacity
-            latencies += now
-            latencies -= taken_times
-            np.maximum(latencies, 0.0, out=latencies)
-        # Latency attribution (DESIGN §5), taken before the offset lands so
-        # components are clipped against the measured queue+service window.
-        # service = min(own cost / capacity, clamped pre-offset latency):
-        # equal to the tuple's full service time except for mid-tick
-        # arrivals, whose latency window starts after their service began.
-        # ``costs`` is dead after ``cum``/``spent`` were taken, so the
-        # division reuses its buffer — the accounting costs two in-place
-        # vector ops and no allocation.
-        comp_service = comp_migration = comp_recovery = None
-        if self.attribution:
-            comp_service = costs[:n_take]
-            if not fused:
-                comp_service /= self.capacity
-                np.minimum(comp_service, latencies, out=comp_service)
-            if self._pause_log and not (
-                # Short-circuit: intervals are sorted, so log[-1] ends last;
-                # when even that end precedes the chunk's earliest arrival
-                # every per-tuple overlap is exactly 0 and the components
-                # are all-zero vectors.  Reporting them as None is
-                # equivalent everywhere sums are consumed, but an attached
-                # observability bundle histograms the zero vectors, so the
-                # shortcut only fires on the bare datapath.
-                self.obs is None
-                and taken_monotonic
-                and self._pause_log[-1][1] <= taken_times[0]
-            ):
-                comp_migration, comp_recovery = self._pause_overlaps(
-                    taken_times,
-                    (
-                        fblk[3 * n_visible : 3 * n_visible + n_take],
-                        fblk[4 * n_visible : 4 * n_visible + n_take],
-                        fblk[5 * n_visible : 5 * n_visible + n_take],
-                    ),
-                )
-        if self.latency_offset and not fused:
-            latencies += self.latency_offset
 
         self.total_stored += n_stored
         self.total_probed += n_probed
@@ -773,9 +398,9 @@ class JoinInstance:
         report.n_stored = n_stored
         report.n_probed = n_probed
         report.n_results = n_results
-        report.latencies = latencies
+        report.latencies = fblk[n : n + n_take]
         report.work_units = spent
-        report.comp_service = comp_service
+        report.comp_service = fblk[:n_take]
         report.comp_migration = comp_migration
         report.comp_recovery = comp_recovery
         if self.obs is not None:
@@ -816,6 +441,7 @@ class JoinInstance:
         """
         if self._result_counts is None:
             self._result_counts = defaultdict(float)
+            self._service = track_results(self._service, self._result_counts)
 
     @property
     def result_tracking(self) -> bool:

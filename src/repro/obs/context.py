@@ -182,7 +182,9 @@ class Observability:
 
         ``meta`` (system name, workload, seed...) is emitted as the trace's
         ``run_meta`` header event so ``inspect`` can label its report,
-        together with the kernel path (:func:`repro.engine.ckernels.describe`).
+        together with the kernel path (:func:`repro.engine.ckernels.describe`)
+        and ``service_kernel``, the service kernel the instances selected
+        (``"c"`` or ``"numpy"``; both, comma-joined, if they differ).
         """
         from ..engine import ckernels
 
@@ -205,6 +207,9 @@ class Observability:
                     for side, group in runtime.dispatcher.groups.items()
                 },
                 **ckernels.describe(),
+                service_kernel=",".join(sorted(
+                    {inst.service_kernel for inst in runtime.instances}
+                )),
                 **(meta or {}),
             )
 
@@ -300,22 +305,25 @@ class Observability:
             self._ctr_results.inc(n_results)
         if latencies is not None and latencies.size:
             self._hist_latency.observe_many(latencies)
-            if comp_service is not None:
-                # Per-tuple queue wait for the histogram only: the plain
-                # elementwise residual (the bit-exact closure is a property
-                # of the per-second sums, not of bucketed counts).
-                queue_wait = latencies - comp_service
-                if comp_migration is not None:
-                    queue_wait -= comp_migration
-                if comp_recovery is not None:
-                    queue_wait -= comp_recovery
-                hists = self._hist_components
-                hists["queue_wait"].observe_many(queue_wait)
-                hists["service"].observe_many(comp_service)
-                if comp_migration is not None:
-                    hists["migration_pause"].observe_many(comp_migration)
-                if comp_recovery is not None:
-                    hists["recovery_pause"].observe_many(comp_recovery)
+            # A None component is all zeros (no pause could overlap the
+            # chunk), so every component histogram counts every served
+            # tuple.  Per-tuple queue wait for the histogram only: the
+            # plain elementwise residual (the bit-exact closure is a
+            # property of the per-second sums, not of bucketed counts).
+            hists = self._hist_components
+            queue_wait = latencies
+            for name, comp in (("service", comp_service),
+                               ("migration_pause", comp_migration),
+                               ("recovery_pause", comp_recovery)):
+                if comp is None:
+                    hists[name].observe_zeros(latencies.shape[0])
+                else:
+                    hists[name].observe_many(comp)
+                    if queue_wait is latencies:
+                        queue_wait = latencies - comp
+                    else:
+                        queue_wait -= comp
+            hists["queue_wait"].observe_many(queue_wait)
 
     def on_instance_step(self, inst, report) -> None:
         """Per-instance publication from ``JoinInstance.step``."""

@@ -184,6 +184,13 @@ class _HistogramChild:
         self.count += n
         self.sum += float(arr.sum())
 
+    def observe_zeros(self, n: int) -> None:
+        """``n`` observations of 0.0 in O(1): what :meth:`observe_many`
+        does for an all-zero vector, without the vector."""
+        if n:
+            self.bucket_counts[bisect_left(self.bounds, 0.0)] += n
+            self.count += n
+
     def cumulative(self) -> list[int]:
         out, running = [], 0
         for c in self.bucket_counts:

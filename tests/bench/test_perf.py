@@ -117,6 +117,13 @@ class TestCompareReports:
         assert not cmp.ok
         assert "REGRESSION" in " ".join(cmp.lines)
 
+    def test_line_prints_relative_change(self):
+        """A cell 17% below baseline reads -17%, not the raw ratio."""
+        fresh = _report_with(_case_dict(tuples_per_sec=830_000.0))
+        base = _report_with(_case_dict())
+        (line,) = compare_reports(fresh, base, tolerance=0.20).lines
+        assert "(-17% rel) ok" in line
+
     def test_speedup_always_passes(self):
         fresh = _report_with(_case_dict(tuples_per_sec=9_999_999.0))
         base = _report_with(_case_dict())

@@ -2,18 +2,13 @@
 
 Covers the instance half of DESIGN §5: the tagged pause log
 (clip/merge/prune semantics of ``note_pause``), the per-tuple overlap
-math (``_pause_overlaps``), the ``ServiceReport`` component arrays the
-step hot path produces, the ``attribution`` kill-switch, and the
-satellite overhead budget — the accounting must cost < 5% of the step
-loop with tracing disabled.
+math (``_pause_overlaps``) and the ``ServiceReport`` component arrays the
+step hot path produces.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.engine.tuples import Batch
 from repro.join.instance import JoinInstance
@@ -120,18 +115,6 @@ class TestStepComponents:
         # clipped to the measured latency, elementwise
         assert np.all(rep.comp_service <= rep.latencies)
 
-    def test_attribution_off_reports_no_components(self):
-        inst = _instance()
-        inst.attribution = False
-        inst.note_pause(0.0, 0.5, "migration")
-        inst.enqueue(Batch.stores(
-            np.arange(10, dtype=np.int64), np.zeros(10),
-        ))
-        rep = self._served(inst)
-        assert rep.comp_service is None
-        assert rep.comp_migration is None
-        assert rep.comp_recovery is None
-
     def test_pause_overlap_lands_in_matching_component(self):
         """Tuples that waited through a tagged pause carry the overlap in
         the matching component, bounded by their measured latency."""
@@ -170,41 +153,3 @@ class TestQueueEarliestTime:
             np.array([1, 2, 3], dtype=np.int64), np.array([3.0, 1.5, 2.0]),
         ))
         assert inst.queue.earliest_time() == 1.5
-
-
-def _step_loop(attribution: bool, n_ticks: int = 60) -> float:
-    """Process-time of the step hot loop with attribution on/off."""
-    inst = _instance(capacity=200_000.0)
-    inst.attribution = attribution
-    rng = np.random.default_rng(0)
-    inst.enqueue(Batch.stores(
-        rng.integers(0, 500, size=2_000), np.zeros(2_000),
-    ))
-    inst.step(0.5, 0.5)
-    start = time.process_time()
-    for tick in range(n_ticks):
-        now = 1.0 + 0.1 * tick
-        keys = rng.integers(0, 500, size=4_000)
-        inst.enqueue(Batch.probes(keys, np.full(4_000, now - 0.05)))
-        inst.step(now, 0.1)
-    return time.process_time() - start
-
-
-def test_attribution_overhead_budget():
-    """The accounting is two in-place vector ops on buffers the tick
-    already produced; with tracing disabled it must stay under a 5%
-    overhead envelope on the step hot loop.  Alternating min-of-5
-    measurements cancel machine noise; a small absolute epsilon keeps the
-    5% band meaningful at sub-second loop times."""
-    plain = []
-    attributed = []
-    _step_loop(True)  # warm both paths (allocator, caches)
-    _step_loop(False)
-    for _ in range(5):
-        plain.append(_step_loop(False))
-        attributed.append(_step_loop(True))
-    best_plain, best_attr = min(plain), min(attributed)
-    assert best_attr <= best_plain * 1.05 + 0.02, (
-        f"attribution overhead {best_attr / best_plain - 1.0:+.1%} "
-        f"(plain {best_plain:.4f}s, attributed {best_attr:.4f}s)"
-    )

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.engine.cost import IndexedCost, ScanCost
 from repro.engine.tuples import OP_PROBE, OP_STORE, Batch
-from repro.join.instance import JoinInstance, _prior_same_key_stores
+from repro.join.instance import JoinInstance
+from repro.join.service import _prior_same_key_stores
 
 
 def mixed_batch(ops_spec):

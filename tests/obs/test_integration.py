@@ -54,6 +54,12 @@ class TestTraceContents:
             os.environ.get("REPRO_NO_CKERNELS")
         )
 
+    def test_meta_records_the_service_kernel(self, report):
+        """The kernel the instances selected: C for the default ScanCost
+        whenever the kernels are built."""
+        want = "c" if ckernels.available() else "numpy"
+        assert report.meta["service_kernel"] == want
+
     def test_close_detaches_active_trace(self, traced_run):
         assert active_trace() is None
 
@@ -141,6 +147,24 @@ class TestRegistryAndProfiler:
             s["value"] for s in blob["repro_migrations_total"]["samples"]
         )
         assert n == result.n_migrations
+
+    def test_component_histograms_count_every_served_tuple(self, traced_run):
+        """All four attribution components are observed once per served
+        tuple — pause components the chunk could not overlap count as
+        zeros — so each histogram's count equals the latency histogram's."""
+        result, obs, _ = traced_run
+        blob = obs.registry.to_json()
+        (latency,) = blob["repro_latency_seconds"]["samples"]
+        counts = {
+            s["labels"]["component"]: s["count"]
+            for s in blob["repro_latency_component_seconds"]["samples"]
+        }
+        assert result.n_migrations >= 1  # some chunks overlap a pause
+        assert counts == dict.fromkeys(
+            ("queue_wait", "service", "migration_pause", "recovery_pause"),
+            latency["count"],
+        )
+        assert latency["count"] == result.metrics.total_processed
 
     def test_prometheus_export_nonempty(self, traced_run):
         _, obs, _ = traced_run
