@@ -345,8 +345,14 @@ def _run_bench(args: argparse.Namespace) -> int:
             print(entry["_profiler"].summary())
         return 0
 
+    # The wall-clock checks only judge serial runs (workers sharing the
+    # cores skew wall time), so --check and --sentinel run serially unless
+    # --jobs says otherwise.
+    jobs = args.jobs
+    if jobs is None and (args.check or args.sentinel):
+        jobs = 1
     report = perf.run_matrix(quick=args.quick, progress=progress,
-                             repeats=repeats, jobs=args.jobs)
+                             repeats=repeats, jobs=jobs)
     print(perf.format_report(report))
     if args.output:
         perf.write_report(report, args.output)
@@ -381,7 +387,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             except FileNotFoundError:
                 pass  # first run with no baseline: seed the trajectory
         result = sentinel.check_sentinel(
-            report, history, tolerance=tolerance, jobs=args.jobs,
+            report, history, tolerance=tolerance, jobs=jobs,
             baseline=baseline,
         )
         for line in result.lines:

@@ -1,27 +1,34 @@
-"""Optional fused C kernels for the steady-state tick loop (DESIGN §9).
+"""Optional C kernel for the per-tick service pass (DESIGN §9).
 
-The hot path's cost is dominated by *dispatch*: a mixed service chunk runs
-tens of numpy kernels over arrays of ~100 elements, so the per-call fixed
-cost of each kernel rivals the work it does.  This module collapses the
-per-chunk service computation into two C passes: ``psk_correct``, the
-intra-chunk prior-same-key-store correction (a sort-based pipeline in
-numpy), as one O(n) pass over dense per-key counters, and
-``step_service``, the costs, cumsum, credit cutoff and latency vectors.
-:mod:`repro.join.service` wraps them as the C service kernel and chooses
-between it and the numpy kernel once per join instance.
+The hot path's cost is dominated by *dispatch*: a service chunk is a few
+dozen tuples, so the fixed cost of every numpy call and every Python
+statement around it rivals the work it does.  This module moves the whole
+per-instance service computation of a tick into two C loops over every
+instance of a runtime, on the service table's struct of arrays
+(:mod:`repro.engine.columns`):
 
-The kernels are built lazily with cffi against the system C compiler and
-cached under the user's temp directory, keyed by a hash of the source; a
-build is attempted at most once per process.  Everything degrades
-gracefully: if cffi or a compiler is missing (or ``REPRO_NO_CKERNELS`` is
-set), ``lib`` stays ``None`` and every instance serves on the numpy
-kernel.  The C code replicates the numpy kernel's operations in the same
-order, so its results are bit-identical — ``tests/engine/test_ckernels.py``
-asserts exactly that.
+- ``service_plan``: backlog EWMA, crash/pause and credit decisions, the
+  visibility cut on each queue's ring, and the staging of every visible
+  chunk into one concatenated key/time/store-mask block;
+- ``service_tick``, after Python has gathered each chunk's stored counts:
+  the intra-chunk same-key correction (dense per-key counters), pricing,
+  the credit cutoff, latencies and service components, the queue's
+  consume bookkeeping, the store add into the dense table and the window's
+  current row, and the per-instance report with numpy-order sums.
 
-Ownership contract for ``psk_correct``'s counter buffer: all-zero on
-entry, restored to all-zero before returning (the second loop), so one
-grow-only zeroed arena buffer serves every call.
+:class:`repro.join.service.ServiceTable` wraps them and chooses between
+them and its numpy reference once.  The kernel is built lazily with cffi
+against the system C compiler and cached under the user's temp directory,
+keyed by a hash of the source; a build is attempted at most once per
+process.  Everything degrades gracefully: if cffi or a compiler is missing
+(or ``REPRO_NO_CKERNELS`` is set), ``lib`` stays ``None`` and the numpy
+reference serves.  The C code replicates the numpy reference's operations
+in the same order, so its results are bit-identical —
+``tests/engine/test_ckernels.py`` asserts exactly that.
+
+Ownership contract for the same-key counter table: all-zero on entry,
+restored to all-zero before each chunk's correction returns, so one
+grow-only zeroed buffer serves every call.
 """
 
 from __future__ import annotations
@@ -32,132 +39,366 @@ import os
 import sys
 import tempfile
 
+from . import columns
+
 __all__ = ["lib", "ffi", "available"]
 
-_SOURCE = r"""
+_SOURCE = columns.c_defines() + r"""
+#include <math.h>
 #include <stdint.h>
 
-/* For each position i: add to match[i] the number of store ops with the
- * same key among positions < i, using cnt[] as dense per-key running
- * counters.  cnt must be all-zero on entry and indexable up to the
- * largest key; it is restored to all-zero before returning.  Integer
- * adds only — bit-identical to any correct implementation. */
-void psk_correct(const int64_t *keys, const unsigned char *store,
-                 int64_t *match, int64_t n, int64_t *cnt)
+/* Block accessors: row r of instance column i in a block w columns wide. */
+#define IX(r, i) I[(r) * w + (i)]
+#define FX(r, i) F[(r) * w + (i)]
+#define RX(r, i) RI[(r) * w + (i)]
+#define RFX(r, i) RF[(r) * w + (i)]
+#define QI(r, i) IX(I_QUEUE + (r), i)
+#define OP_STORE 0
+
+/* numpy's pairwise summation of a contiguous float64 array, operation for
+ * operation (np.add.reduce adds its result to the 0.0 identity). */
+static double pairwise(const double *a, int64_t n)
 {
     int64_t i;
-    for (i = 0; i < n; i++) {
-        int64_t c = cnt[keys[i]];
-        if (c) match[i] += c;
-        if (store[i]) cnt[keys[i]] = c + 1;
+    if (n < 8) {
+        double res = 0.;
+        for (i = 0; i < n; i++) res += a[i];
+        return res;
     }
-    for (i = 0; i < n; i++) {
-        if (store[i]) cnt[keys[i]] = 0;
+    if (n <= 128) {
+        double r[8], res;
+        for (i = 0; i < 8; i++) r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r[0] += a[i + 0]; r[1] += a[i + 1];
+            r[2] += a[i + 2]; r[3] += a[i + 3];
+            r[4] += a[i + 4]; r[5] += a[i + 5];
+            r[6] += a[i + 6]; r[7] += a[i + 7];
+        }
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise(a, n2) + pairwise(a + n2, n - n2);
     }
 }
 
-/* The whole per-chunk service computation of JoinInstance.step in one
- * pass: per-tuple costs (ScanCost model=0 / IndexedCost model=1),
- * sequential cost cumsum, credit cutoff, taken-store count, integer
- * result sum over taken probes, then in-place latency and
- * service-attribution vectors.  Every float operation replicates the
- * numpy implementation's elementwise op order exactly (each step rounds
- * once, like the corresponding ufunc), and the cumsum is sequential in
- * both, so results are bit-identical; compiled with -ffp-contract=off so
- * no FMA contraction merges the roundings.
- *
- * match may be NULL for a pure-store chunk (pure_store != 0).  On
- * return: out_i = {n_take, n_stored, result_sum}, out_d = {spent};
- * costs[0:n_take] holds comp_service, cum[0:n_take] holds the final
- * latencies. */
-void step_service(const int64_t *match, const unsigned char *store,
-                  const double *times, double *costs, double *cum,
-                  int64_t n, int64_t store_total, int model,
-                  int pure_store,
-                  double store_cost, double probe_base, double scan_coeff,
-                  double emit_cost, double credit, double capacity,
-                  double now, double lat_offset,
-                  int64_t *out_i, double *out_d)
+static double np_sum(const double *a, int64_t n)
 {
-    int64_t i, n_take, n_stored = 0, results = 0;
-    double acc = 0.0;
-    if (pure_store) {
-        for (i = 0; i < n; i++) costs[i] = store_cost;
-    } else if (model == 0) {
-        /* cost = (match*emit) + ((size*coeff) + base), size = |R_i| at
-         * the tuple's position (store inserts earlier in the chunk have
-         * landed).  Store positions are overwritten with store_cost in
-         * the numpy code; writing them directly is the same values. */
-        int64_t run = 0;
-        for (i = 0; i < n; i++) {
-            if (store[i]) {
-                costs[i] = store_cost;
-                run++;
-            } else {
-                double o = (double)match[i] * emit_cost;
-                double t = (double)(store_total + run) * scan_coeff;
-                t += probe_base;
-                o += t;
-                costs[i] = o;
+    double s = 0.0;
+    s += pairwise(a, n);
+    return s;
+}
+
+/* The visible chunk an instance would serve this tick, without changing
+ * anything: 0 when it idles.  *credit receives this tick's budget (the
+ * carried credit plus capacity * dt) when the instance is not crashed or
+ * paused; *state is 0 (crashed/paused), 1 (idle, credit settles) or
+ * 2 (serves).  Python's min(a, b) is "b if b < a else a"; the float
+ * operations follow JoinInstance's former per-instance step exactly. */
+static int64_t plan_one(const double *F, const int64_t *I, int64_t w,
+                        int64_t i, double now, double dt, double *credit,
+                        int *state)
+{
+    int64_t size, limit, n, head, cap, cut, j;
+    double a, end;
+    const double *times;
+    *state = 0;
+    if (IX(I_CRASHED, i) || now < FX(F_PAUSED, i)) return 0;
+    *state = 1;
+    *credit = FX(F_CREDIT, i) + FX(F_CAPACITY, i) * dt;
+    size = QI(Q_SIZE, i);
+    if (size == 0 || *credit <= 0) return 0;
+    /* The peek is bounded by what the credit can possibly afford: every
+     * operation costs at least the floor cost. */
+    a = *credit / FX(F_FLOOR, i);
+    limit = IX(I_MAX_CHUNK, i);
+    if (a < (double)limit) limit = (int64_t)a + 1;
+    n = size < limit ? size : limit;
+    head = QI(Q_HEAD, i);
+    cap = QI(Q_CAP, i);
+    times = (const double *)(intptr_t)IX(I_P_TIMES, i);
+    end = now + dt;
+    /* A not-yet-visible tuple blocks everything behind it: the cut is the
+     * first position whose time is past the tick's end. */
+    cut = n;
+    if (QI(Q_ORDERED, i)) {
+        if (times[(head + n - 1) % cap] > end) {
+            int64_t lo = 0, hi = n - 1;   /* times[hi] > end */
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (times[(head + mid) % cap] > end) hi = mid; else lo = mid + 1;
             }
+            cut = lo;
         }
     } else {
-        for (i = 0; i < n; i++) {
-            if (store[i]) {
-                costs[i] = store_cost;
-            } else {
-                double o = (double)match[i] * emit_cost;
-                o += probe_base;
-                costs[i] = o;
-            }
+        for (j = 0; j < n; j++) {
+            if (times[(head + j) % cap] > end) { cut = j; break; }
         }
     }
-    /* Serve while the exclusive prefix is < credit: the first inclusive
-     * prefix >= credit is the (overdraft) boundary tuple.  Identical to
-     * cum.searchsorted(credit, "left") + 1 on the full cumsum — partial
-     * sums past the cutoff are never read, so stopping early is safe. */
-    n_take = n;
-    for (i = 0; i < n; i++) {
-        acc += costs[i];
-        cum[i] = acc;
-        if (acc >= credit) { n_take = i + 1; break; }
+    if (cut) *state = 2;
+    return cut;
+}
+
+/* First half of the pass over instances [lo, hi): returns -1 when a queue
+ * or store moved since its pointers were taken (nothing changed; refresh
+ * them and call again), the total staged length when it exceeds `room`
+ * (nothing changed; grow the staging blocks and call again), and the
+ * total staged length after committing otherwise. */
+int64_t service_plan(int64_t lo, int64_t hi, int64_t w, double *F,
+                     int64_t *I, int64_t *RI, int64_t *keys, double *times,
+                     unsigned char *mask, int64_t room, int64_t cnt_len,
+                     double now, double dt)
+{
+    int64_t i, j, total = 0, off = 0;
+    double credit = 0.0;
+    int state;
+    for (i = lo; i < hi; i++) {
+        if (QI(Q_GEN, i) != IX(I_QGEN_SEEN, i)
+            || IX(I_STORE + S_GEN, i) != IX(I_SGEN_SEEN, i)) return -1;
+        total += plan_one(F, I, w, i, now, dt, &credit, &state);
     }
-    out_d[0] = cum[n_take - 1];
-    for (i = 0; i < n_take; i++) {
-        if (store[i]) n_stored++;
-        else if (match) results += match[i];
+    if (total > room) return total;
+    for (i = lo; i < hi; i++) {
+        int64_t n, head, cap, n_stores = 0, flags = 0, klo, khi;
+        const int64_t *qk;
+        const double *qt;
+        const signed char *qo;
+        double tau = FX(F_TAU, i);
+        /* EWMA of the probe backlog, sampled before serving. */
+        if (tau > 0) {
+            double alpha = dt / tau;
+            if (1.0 < alpha) alpha = 1.0;
+            FX(F_EWMA, i) += alpha * ((double)QI(Q_PROBES, i) - FX(F_EWMA, i));
+        } else {
+            FX(F_EWMA, i) = (double)QI(Q_PROBES, i);
+        }
+        n = plan_one(F, I, w, i, now, dt, &credit, &state);
+        RX(R_N, i) = n;
+        RX(R_TAKE, i) = 0;
+        RX(R_FLAGS, i) = 0;
+        if (state == 0) continue;
+        FX(F_PAUSED, i) = 0.0;
+        if (state == 1) {
+            /* Idle capacity is never banked. */
+            FX(F_CREDIT, i) = 0.0 < credit ? 0.0 : credit;
+            continue;
+        }
+        FX(F_CREDIT, i) = credit;   /* this tick's budget, for service_tick */
+        head = QI(Q_HEAD, i);
+        cap = QI(Q_CAP, i);
+        qk = (const int64_t *)(intptr_t)IX(I_P_KEYS, i);
+        qt = (const double *)(intptr_t)IX(I_P_TIMES, i);
+        qo = (const signed char *)(intptr_t)IX(I_P_OPS, i);
+        for (j = 0; j < n; j++) {
+            int64_t p = (head + j) % cap;
+            unsigned char s = qo[p] == OP_STORE;
+            keys[off + j] = qk[p];
+            times[off + j] = qt[p];
+            mask[off + j] = s;
+            n_stores += s;
+        }
+        RX(R_NSTORES, i) = n_stores;
+        RX(R_OFF, i) = off;
+        off += n;
+        klo = QI(Q_KEY_LO, i);
+        khi = QI(Q_KEY_HI, i);
+        if (n_stores < n) {
+            flags |= FL_GATHER;
+            if (n_stores) {
+                if (klo < 0 || khi >= PSK_CAP) flags |= FL_PSK;
+                else if (khi >= cnt_len) flags |= FL_COUNTER;
+            }
+        }
+        if (n_stores) {
+            if (klo < 0 || khi >= DENSE_KEY_CAP) flags |= FL_STORE;
+            else if (khi >= IX(I_DENSE_LEN, i)
+                     || (IX(I_P_ROW, i) && khi >= IX(I_ROW_LEN, i)))
+                flags |= FL_GROW;
+        }
+        RX(R_FLAGS, i) = flags;
     }
-    /* latency = max(cum/capacity + now - arrival, 0) + offset, with the
-     * service component clipped against the pre-offset latency first —
-     * same per-element op order as the numpy chain. */
-    for (i = 0; i < n_take; i++) {
-        double l = cum[i] / capacity;
-        l += now;
-        l -= times[i];
-        if (!(l > 0.0)) l = 0.0;
-        double s = costs[i] / capacity;
-        if (s > l) s = l;
-        costs[i] = s;
-        l += lat_offset;
-        cum[i] = l;
+    return off;
+}
+
+/* Second half of the pass: serve every staged chunk.  `match` holds each
+ * chunk's stored counts at chunk start (gathered by Python; untouched for
+ * pure-store chunks); chunk i's costs and latencies are computed at the
+ * running report offset in `comp`/`lat`, which keep the served prefix.
+ * out = {queued tuples after service, longest queue, tuples served, OR of
+ * the flags}.  Returns 0, or -1 on a probe-counter underflow. */
+int64_t service_tick(int64_t lo, int64_t hi, int64_t w, double *F,
+                     int64_t *I, int64_t *RI, double *RF, const int64_t *keys,
+                     const double *times, const unsigned char *mask,
+                     int64_t *match, double *lat, double *comp, int64_t *cnt,
+                     double now, int64_t *out)
+{
+    int64_t i, j, seg = 0, qsum = 0, qmax = 0, all_flags = 0;
+    for (i = lo; i < hi; i++) {
+        int64_t n = RX(R_N, i), o, ns, take, stored = 0, results = 0, probed;
+        int64_t flags, size;
+        const int64_t *k;
+        const double *t;
+        const unsigned char *m;
+        int64_t *mc;
+        double *cost, *cum, credit, capacity, acc = 0.0, spent, left;
+        if (n) {
+            o = RX(R_OFF, i);
+            ns = RX(R_NSTORES, i);
+            flags = RX(R_FLAGS, i);
+            k = keys + o; t = times + o; m = mask + o; mc = match + o;
+            cost = comp + seg; cum = lat + seg;
+            credit = FX(F_CREDIT, i);
+            capacity = FX(F_CAPACITY, i);
+            /* Same-key correction: a probe also sees every store served
+             * before it in this chunk.  Integer adds only; the counters
+             * are un-written afterwards. */
+            if (ns && ns < n && !(flags & FL_PSK)) {
+                for (j = 0; j < n; j++) {
+                    int64_t c = cnt[k[j]];
+                    if (c) mc[j] += c;
+                    if (m[j]) cnt[k[j]] = c + 1;
+                }
+                for (j = 0; j < n; j++) if (m[j]) cnt[k[j]] = 0;
+            }
+            /* Prices: ScanCost (o = m*emit; o += (size*coeff) + base, with
+             * |R_i| at the tuple's position) or IndexedCost (o = m*emit;
+             * o += base); stores cost store_cost. */
+            {
+                double sc = FX(F_STORE_COST, i), base = FX(F_PROBE_BASE, i);
+                double coeff = FX(F_SCAN_COEFF, i), emit = FX(F_EMIT_COST, i);
+                int64_t total = IX(I_STORE + S_TOTAL, i), run = 0;
+                int scan = IX(I_MODEL, i) == MODEL_SCAN;
+                for (j = 0; j < n; j++) {
+                    if (m[j]) {
+                        cost[j] = sc;
+                        run++;
+                    } else {
+                        double c = (double)mc[j] * emit;
+                        if (scan) {
+                            double s = (double)(total + run) * coeff;
+                            s += base;
+                            c += s;
+                        } else {
+                            c += base;
+                        }
+                        cost[j] = c;
+                    }
+                }
+            }
+            /* Serve while the exclusive prefix is < credit: the first
+             * inclusive prefix >= credit is the (overdraft) boundary. */
+            take = n;
+            for (j = 0; j < n; j++) {
+                acc += cost[j];
+                cum[j] = acc;
+                if (acc >= credit) { take = j + 1; break; }
+            }
+            spent = cum[take - 1];
+            for (j = 0; j < take; j++) {
+                if (m[j]) stored++;
+                else results += mc[j];
+            }
+            probed = take - stored;
+            /* latency = max(cum/capacity + now - arrival, 0) + offset, the
+             * service component clipped against it before the offset. */
+            {
+                double off = FX(F_LAT_OFFSET, i);
+                for (j = 0; j < take; j++) {
+                    double l = cum[j] / capacity;
+                    double s = cost[j] / capacity;
+                    l += now;
+                    l -= t[j];
+                    if (!(l > 0.0)) l = 0.0;
+                    if (s > l) s = l;
+                    cost[j] = s;
+                    if (off) l += off;
+                    cum[j] = l;
+                }
+            }
+            left = credit - spent;
+            if (take == n && 0.0 < left) left = 0.0;   /* drained: no banking */
+            FX(F_CREDIT, i) = left;
+            /* Pause overlaps are zero when the log's last interval ended
+             * before the first served arrival and arrivals are ordered
+             * (read before the consume below may restore the order). */
+            if (FX(F_PAUSE_END, i) != -INFINITY
+                && !(QI(Q_ORDERED, i) && FX(F_PAUSE_END, i) <= t[0]))
+                flags |= FL_PAUSE;
+            /* consume */
+            {
+                int64_t probes = QI(Q_PROBES, i) - probed;
+                int64_t consumed = QI(Q_CONSUMED, i) + take;
+                if (probes < 0) return -1;
+                QI(Q_PROBES, i) = probes;
+                QI(Q_HEAD, i) = (QI(Q_HEAD, i) + take) % QI(Q_CAP, i);
+                size = QI(Q_SIZE, i) - take;
+                QI(Q_SIZE, i) = size;
+                QI(Q_CONSUMED, i) = consumed;
+                if (!QI(Q_ORDERED, i)) {
+                    if (size == 0) {
+                        QI(Q_ORDERED, i) = 1;
+                        FX(F_QUEUE + QF_TAIL, i) = -INFINITY;
+                    } else if (consumed >= QI(Q_MARK, i)) {
+                        QI(Q_ORDERED, i) = 1;
+                    }
+                }
+            }
+            /* store add: the dense table and the window's current row */
+            if (stored && !(flags & FL_STORE)) {
+                int64_t *dense = (int64_t *)(intptr_t)IX(I_P_DENSE, i);
+                int64_t *row = (int64_t *)(intptr_t)IX(I_P_ROW, i);
+                for (j = 0; j < take; j++) {
+                    if (m[j]) {
+                        dense[k[j]] += 1;
+                        if (row) row[k[j]] += 1;
+                    }
+                }
+                IX(I_STORE + S_TOTAL, i) += stored;
+            }
+            IX(I_STORED, i) += stored;
+            IX(I_PROBED, i) += probed;
+            FX(F_RESULTS, i) += (double)results;
+            if ((IX(I_HOOKS, i) & HOOK_FT) && stored) flags |= FL_WAL;
+            if ((IX(I_HOOKS, i) & HOOK_TRACK) && probed) flags |= FL_TRACK;
+            if (IX(I_HOOKS, i) & HOOK_OBS) flags |= FL_OBS;
+            RX(R_TAKE, i) = take;
+            RX(R_STORED, i) = stored;
+            RX(R_SEG, i) = seg;
+            RX(R_FLAGS, i) = flags;
+            RFX(RF_RESULTS, i) = (double)results;
+            RFX(RF_SPENT, i) = spent;
+            RFX(RF_LATENCY, i) = np_sum(cum, take);
+            RFX(RF_SERVICE, i) = np_sum(cost, take);
+            RFX(RF_MIGRATION, i) = 0.0;
+            RFX(RF_RECOVERY, i) = 0.0;
+            seg += take;
+            all_flags |= flags;
+        }
+        size = QI(Q_SIZE, i);
+        qsum += size;
+        if (size > qmax) qmax = size;
     }
-    out_i[0] = n_take;
-    out_i[1] = n_stored;
-    out_i[2] = results;
+    out[0] = qsum;
+    out[1] = qmax;
+    out[2] = seg;
+    out[3] = all_flags;
+    return 0;
 }
 """
 
 _CDEF = """
-void psk_correct(const int64_t *keys, const unsigned char *store,
-                 int64_t *match, int64_t n, int64_t *cnt);
-void step_service(const int64_t *match, const unsigned char *store,
-                  const double *times, double *costs, double *cum,
-                  int64_t n, int64_t store_total, int model,
-                  int pure_store,
-                  double store_cost, double probe_base, double scan_coeff,
-                  double emit_cost, double credit, double capacity,
-                  double now, double lat_offset,
-                  int64_t *out_i, double *out_d);
+int64_t service_plan(int64_t lo, int64_t hi, int64_t w, double *F,
+                     int64_t *I, int64_t *RI, int64_t *keys, double *times,
+                     unsigned char *mask, int64_t room, int64_t cnt_len,
+                     double now, double dt);
+int64_t service_tick(int64_t lo, int64_t hi, int64_t w, double *F,
+                     int64_t *I, int64_t *RI, double *RF, const int64_t *keys,
+                     const double *times, const unsigned char *mask,
+                     int64_t *match, double *lat, double *comp, int64_t *cnt,
+                     double now, int64_t *out);
 """
 
 _MODULE = "_repro_ckernels"

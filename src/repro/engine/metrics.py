@@ -22,6 +22,14 @@ import numpy as np
 
 from ..attribution import close_decomposition
 from .arena import Arena
+from .columns import (
+    R_TAKE,
+    RF_LATENCY,
+    RF_MIGRATION,
+    RF_RECOVERY,
+    RF_RESULTS,
+    RF_SERVICE,
+)
 
 __all__ = [
     "MetricsCollector",
@@ -406,7 +414,13 @@ class MetricsCollector:
         Returns the tick's attribution sums ``(service, migration_pause,
         recovery_pause)`` so the runtime can stamp them onto the service
         trace event without re-summing the reports.
+
+        ``reports`` may also be a :class:`~repro.join.service.ServiceTable`
+        after its pass: its report block is folded in column order with the
+        same additions, from the per-instance sums the pass computed.
         """
+        if hasattr(reports, "rep_f"):
+            return self._fold_table(now, reports)
         sec = int(now)
         self._max_time = max(self._max_time, now)
         in_window = now >= self._warmup
@@ -501,6 +515,80 @@ class MetricsCollector:
                 cat = self._arena.array("lat_cat", total, np.float64)
                 np.concatenate(lat_arrays, out=cat)
                 self._reservoir.add_many(cat)
+        return tick_sv, tick_mg, tick_rc
+
+    def _fold_table(self, now: float, table) -> tuple[float, float, float]:
+        """:meth:`record_service_many` over a service table's report block.
+
+        The per-report float additions happen in the same order on the
+        same values: the pass summed each instance's latencies and
+        components with numpy's pairwise order (``np.add.reduce``), and a
+        zero sum still creates no per-second key.  The served latencies
+        are already concatenated in the block, so the reservoir reads them
+        in place.
+        """
+        sec = int(now)
+        self._max_time = max(self._max_time, now)
+        in_window = now >= self._warmup
+        served = table.rep_i[R_TAKE] > 0
+        if not served.any():
+            return 0.0, 0.0, 0.0
+        take = table.rep_i[R_TAKE, served].tolist()
+        rf = table.rep_f[:, served].tolist()
+        n_take = 0
+        tick_results_int = 0
+        results = self._results.get(sec)
+        lat_sum = self._lat_sum.get(sec, 0.0)
+        lat_total = self._lat_total
+        for n, r, s in zip(take, rf[RF_RESULTS], rf[RF_LATENCY]):
+            n_take += n
+            if r:
+                results = (0.0 if results is None else results) + r
+                tick_results_int += int(round(r))
+            lat_sum += s
+            if in_window:
+                lat_total += s
+        if results is not None:
+            self._results[sec] = results
+        self._lat_sum[sec] = lat_sum
+        self._lat_total = lat_total
+        self._total_results += tick_results_int
+        ticks = []
+        for by_sec, sums in (
+            (self._comp_service, rf[RF_SERVICE]),
+            (self._comp_migration, rf[RF_MIGRATION]),
+            (self._comp_recovery, rf[RF_RECOVERY]),
+        ):
+            tick = 0.0
+            acc = by_sec.get(sec)
+            for v in sums:
+                if v:
+                    acc = (0.0 if acc is None else acc) + v
+                    tick += v
+            if acc is not None:
+                by_sec[sec] = acc
+            ticks.append(tick)
+        tick_sv, tick_mg, tick_rc = ticks
+        self._processed[sec] = self._processed.get(sec, 0) + n_take
+        self._total_processed += n_take
+        self._lat_cnt[sec] = self._lat_cnt.get(sec, 0) + n_take
+        self._close_second(sec)
+        if in_window:
+            self._comp_total_service += tick_sv
+            self._comp_total_migration += tick_mg
+            self._comp_total_recovery += tick_rc
+            self._lat_total_n += n_take
+            self._reservoir.add_many(table.lat[:n_take])
+        obs = self.obs
+        if obs is not None:
+            for slot in np.flatnonzero(served).tolist():
+                rep = table.report(slot)
+                obs.on_record_service(
+                    now, rep.n_processed, rep.n_results, rep.latencies,
+                    comp_service=rep.comp_service,
+                    comp_migration=rep.comp_migration,
+                    comp_recovery=rep.comp_recovery,
+                )
         return tick_sv, tick_mg, tick_rc
 
     def _close_second(self, sec: int) -> None:

@@ -30,6 +30,22 @@ import numpy as np
 
 from ..errors import SimulationError
 from .arena import Arena
+from .columns import (
+    Q_CAP,
+    Q_CONSUMED,
+    Q_GEN,
+    Q_HEAD,
+    Q_KEY_HI,
+    Q_KEY_LO,
+    Q_MARK,
+    Q_NFLOAT,
+    Q_NINT,
+    Q_ORDERED,
+    Q_PROBES,
+    Q_SIZE,
+    QF_TAIL,
+    column_field,
+)
 from .tuples import OP_PROBE, Batch
 
 __all__ = ["TupleQueue"]
@@ -40,6 +56,11 @@ _MIN_CAPACITY = 64
 #: both, and the (lo > hi) combination never satisfies a fast-path check
 _KEY_BOUND_EMPTY_LO = 1 << 62
 _KEY_BOUND_EMPTY_HI = -1
+
+# The queue's scalar state ("cursors") lives in one int64 and one float64
+# column rather than in attributes, so a service table can re-bind it into
+# its struct of arrays and serve the queue from C (repro.join.service).
+# The rows are defined in repro.engine.columns.
 
 
 class TupleQueue:
@@ -57,47 +78,68 @@ class TupleQueue:
         self._keys = np.empty(cap, dtype=np.int64)
         self._times = np.empty(cap, dtype=np.float64)
         self._ops = np.empty(cap, dtype=np.int8)
-        self._head = 0  # index of the oldest element
-        self._size = 0
-        self._n_probes = 0
+        self._qi = memoryview(np.zeros(Q_NINT, dtype=np.int64))
+        self._qf = memoryview(np.zeros(Q_NFLOAT, dtype=np.float64))
+        self._qi[Q_CAP] = cap
         # Visible-times are nondecreasing in enqueue order for the normal
         # datapath (each block's scalar time is emit-tick + a fixed per-side
         # delay), which lets peek_visible find the visibility cut with one
-        # searchsorted.  Generic push() (migrations, tests) conservatively
-        # clears the flag; it resets when the queue drains.
-        self._monotonic = True
-        self._tail_time = -np.inf
-        # Lifetime count of tuples removed through consume() — the queue
-        # watermark a fault-tolerance checkpoint records (repro.faults).
-        # Service consumption only: migration extraction and clear() are
-        # not service, so they leave the watermark untouched.
-        self._consumed = 0
+        # bisection.  An out-of-order push (a migration hand-off, a rebuild)
+        # clears the flag and records a watermark; consume() sets it again
+        # once every tuple up to the watermark has been served.
+        self._qi[Q_ORDERED] = 1
+        self._qf[QF_TAIL] = -np.inf
         # Conservative (grow-only) bounds over every key ever pushed.  The
         # join instance forwards them to the store's dense-table fast-path
         # checks, replacing two boxed min/max reductions per service step
         # with two reductions per *push* — pushes are rare under
         # backpressure, steps are not.  Never narrowed: a stale-wide bound
         # only costs the callee its own min/max re-check.
-        self._key_lo = _KEY_BOUND_EMPTY_LO
-        self._key_hi = _KEY_BOUND_EMPTY_HI
+        self._qi[Q_KEY_LO] = _KEY_BOUND_EMPTY_LO
+        self._qi[Q_KEY_HI] = _KEY_BOUND_EMPTY_HI
+
+    _head = column_field("_qi", Q_HEAD, "ring index of the oldest element")
+    _size = column_field("_qi", Q_SIZE, "live elements")
+    _n_probes = column_field("_qi", Q_PROBES, "live probe operations")
+    # Lifetime count of tuples removed through consume() — the queue
+    # watermark a fault-tolerance checkpoint records (repro.faults).
+    # Service consumption only: migration extraction and clear() are not
+    # service, so they leave it untouched.
+    _consumed = column_field("_qi", Q_CONSUMED, "lifetime consumed tuples")
+    _monotonic = column_field("_qi", Q_ORDERED, "live visible-times nondecreasing")
+    _key_lo = column_field("_qi", Q_KEY_LO, "push-time lower key bound")
+    _key_hi = column_field("_qi", Q_KEY_HI, "push-time upper key bound")
+    _tail_time = column_field("_qf", QF_TAIL, "time of the last in-order push")
+
+    def bind_columns(self, qi: np.ndarray, qf: np.ndarray) -> None:
+        """Move the cursors into caller-owned int64/float64 columns.
+
+        ``qi``/``qf`` are views of ``Q_NINT``/``Q_NFLOAT`` elements (rows of
+        a service table's struct of arrays); the current values are copied
+        in and the queue reads and writes them from then on.
+        """
+        qi[:] = self._qi
+        qf[:] = self._qf
+        self._qi = memoryview(qi)
+        self._qf = memoryview(qf)
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return self._size
+        return self._qi[Q_SIZE]
 
     @property
     def probe_backlog(self) -> int:
         """Total queued probe tuples — ``phi_si`` in the paper (Eq. 4)."""
-        return self._n_probes
+        return self._qi[Q_PROBES]
 
     @property
     def consumed_total(self) -> int:
         """Lifetime tuples served through :meth:`consume` (the checkpoint
         watermark: WAL entries after it are replayed on recovery)."""
-        return self._consumed
+        return self._qi[Q_CONSUMED]
 
     @property
     def key_bounds(self) -> tuple[int, int]:
@@ -106,7 +148,8 @@ class TupleQueue:
         Grow-only, so the bounds cover any batch peeked from this queue;
         an empty push history reports ``lo > hi``.
         """
-        return self._key_lo, self._key_hi
+        qi = self._qi
+        return qi[Q_KEY_LO], qi[Q_KEY_HI]
 
     def _live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views/copies of the live region in FIFO order."""
@@ -147,14 +190,15 @@ class TupleQueue:
         pause log.  O(1) for the ordered datapath (head element), one
         vectorised min otherwise.
         """
-        if self._size == 0:
+        size = self._size
+        if size == 0:
             return None
         head = self._head
         if self._monotonic:
             return float(self._times[head])
-        if head + self._size <= self.capacity:
-            return float(self._times[head : head + self._size].min())
-        return float(self._times[self._live_indices(self._size)].min())
+        if head + size <= self.capacity:
+            return float(self._times[head : head + size].min())
+        return float(self._times[self._live_indices(size)].min())
 
     @property
     def capacity(self) -> int:
@@ -173,10 +217,12 @@ class TupleQueue:
         keys = np.empty(new_cap, dtype=np.int64)
         times = np.empty(new_cap, dtype=np.float64)
         ops = np.empty(new_cap, dtype=np.int8)
-        if self._size:
+        qi = self._qi
+        size = qi[Q_SIZE]
+        if size:
             # At most two contiguous ring segments — copy them as slices
             # instead of materialising an arange-modulo index array.
-            head, size, cap = self._head, self._size, self.capacity
+            head, cap = qi[Q_HEAD], self.capacity
             first = min(size, cap - head)
             keys[:first] = self._keys[head : head + first]
             times[:first] = self._times[head : head + first]
@@ -187,19 +233,44 @@ class TupleQueue:
                 times[first:size] = self._times[:rest]
                 ops[first:size] = self._ops[:rest]
         self._keys, self._times, self._ops = keys, times, ops
-        self._head = 0
+        qi[Q_HEAD] = 0
+        qi[Q_CAP] = new_cap
+        qi[Q_GEN] += 1
 
     def _tail_spans(self, n: int) -> tuple[slice, slice | None, int]:
         """Ring slots for appending ``n`` items: one or two slices."""
-        tail = (self._head + self._size) % self.capacity
+        cap = self.capacity
+        tail = (self._head + self._size) % cap
         end = tail + n
-        if end <= self.capacity:
+        if end <= cap:
             return slice(tail, end), None, 0
-        first = self.capacity - tail
-        return slice(tail, self.capacity), slice(0, n - first), first
+        first = cap - tail
+        return slice(tail, cap), slice(0, n - first), first
+
+    def _note_keys(self, keys: np.ndarray) -> None:
+        qi = self._qi
+        lo = int(keys.min())
+        hi = int(keys.max())
+        if lo < qi[Q_KEY_LO]:
+            qi[Q_KEY_LO] = lo
+        if hi > qi[Q_KEY_HI]:
+            qi[Q_KEY_HI] = hi
+
+    def _disorder(self) -> None:
+        """Record an out-of-order push: every live tuple (up to the
+        watermark) may be out of order, and the next in-order push starts
+        a fresh ordered run behind them."""
+        qi = self._qi
+        qi[Q_ORDERED] = 0
+        qi[Q_MARK] = qi[Q_CONSUMED] + qi[Q_SIZE]
+        self._qf[QF_TAIL] = -np.inf
 
     def push(self, batch: Batch) -> None:
-        """Append a batch at the tail (FIFO order preserved)."""
+        """Append a batch at the tail (FIFO order preserved).
+
+        The batch's times are arbitrary (a migration hand-off carries the
+        source queue's times), so this is an out-of-order push.
+        """
         n = len(batch)
         if n == 0:
             return
@@ -213,15 +284,11 @@ class TupleQueue:
             self._keys[hi] = batch.keys[first:]
             self._times[hi] = batch.times[first:]
             self._ops[hi] = batch.ops[first:]
-        self._size += n
-        self._n_probes += int(np.count_nonzero(batch.ops == OP_PROBE))
-        self._monotonic = False
-        lo = int(batch.keys.min())
-        hi = int(batch.keys.max())
-        if lo < self._key_lo:
-            self._key_lo = lo
-        if hi > self._key_hi:
-            self._key_hi = hi
+        qi = self._qi
+        qi[Q_SIZE] += n
+        qi[Q_PROBES] += int(np.count_nonzero(batch.ops == OP_PROBE))
+        self._disorder()
+        self._note_keys(batch.keys)
 
     def push_block(self, keys: np.ndarray, time: float, op: int) -> None:
         """Append keys that share one visible-time and one operation.
@@ -234,29 +301,34 @@ class TupleQueue:
         n = int(keys.shape[0])
         if n == 0:
             return
-        if self._size + n > self.capacity:
+        qi = self._qi
+        size = qi[Q_SIZE]
+        cap = self._keys.shape[0]
+        if size + n > cap:
             self._grow(n)
-        lo, hi, first = self._tail_spans(n)
-        self._keys[lo] = keys if hi is None else keys[:first]
-        self._times[lo] = time
-        self._ops[lo] = op
-        if hi is not None:
-            self._keys[hi] = keys[first:]
-            self._times[hi] = time
-            self._ops[hi] = op
-        self._size += n
-        if op == OP_PROBE:
-            self._n_probes += n
-        if time < self._tail_time:
-            self._monotonic = False
+            cap = self._keys.shape[0]
+        tail = (qi[Q_HEAD] + size) % cap
+        end = tail + n
+        if end <= cap:
+            self._keys[tail:end] = keys
+            self._times[tail:end] = time
+            self._ops[tail:end] = op
         else:
-            self._tail_time = time
-        lo = int(keys.min())
-        hi = int(keys.max())
-        if lo < self._key_lo:
-            self._key_lo = lo
-        if hi > self._key_hi:
-            self._key_hi = hi
+            first = cap - tail
+            self._keys[tail:] = keys[:first]
+            self._keys[: n - first] = keys[first:]
+            self._times[tail:] = time
+            self._times[: n - first] = time
+            self._ops[tail:] = op
+            self._ops[: n - first] = op
+        qi[Q_SIZE] = size + n
+        if op == OP_PROBE:
+            qi[Q_PROBES] += n
+        if time < self._qf[QF_TAIL]:
+            self._disorder()
+        else:
+            self._qf[QF_TAIL] = time
+        self._note_keys(keys)
 
     def _live_indices(self, n: int) -> np.ndarray:
         return (self._head + np.arange(n)) % self.capacity
@@ -274,15 +346,18 @@ class TupleQueue:
         or the next wrapped peek on this queue.  Callers that hold on to it
         across mutations must copy.
         """
-        n = self._size if limit is None else min(self._size, int(limit))
+        qi = self._qi
+        size = qi[Q_SIZE]
+        n = size if limit is None else min(size, int(limit))
         if n == 0:
             return Batch.empty()
-        head = self._head
+        head = qi[Q_HEAD]
         cap = self._keys.shape[0]  # inlined ``capacity`` (hot path)
+        ordered = qi[Q_ORDERED]
         if head + n <= cap:
             # Contiguous live prefix: slice views, no fancy-index copies.
             times = self._times[head : head + n]
-            if self._monotonic:
+            if ordered:
                 # Nondecreasing times: when even the last requested tuple
                 # is visible (a backlogged queue peeked with a limit — the
                 # steady state) one scalar read answers; otherwise the
@@ -308,7 +383,7 @@ class TupleQueue:
         # the two visible pieces are stitched into arena scratch (no
         # arange-modulo index materialisation either way).
         first = cap - head
-        if self._monotonic:
+        if ordered:
             times1 = self._times[head:cap]
             cut1 = int(times1.searchsorted(now, side="right"))
             if cut1 < first:
@@ -334,8 +409,8 @@ class TupleQueue:
             ops[:first] = self._ops[head:cap]
             ops[first:] = self._ops[:cut2]
             return Batch.wrap(keys, times, ops)
-        # Non-monotonic wrapped ring (generic push into a wrapped queue —
-        # migration/test paths only): fall back to the index-array scan.
+        # Unordered wrapped ring: only until the disordered region left by
+        # an out-of-order push into a wrapped queue has been consumed.
         idx = self._live_indices(n)
         times = self._times[idx]
         invisible = np.nonzero(times > now)[0]
@@ -354,25 +429,36 @@ class TupleQueue:
         """
         if n == 0:
             return
-        if n > self._size:
-            raise SimulationError(f"consume({n}) exceeds queue size {self._size}")
+        qi = self._qi
+        size = qi[Q_SIZE]
+        if n > size:
+            raise SimulationError(f"consume({n}) exceeds queue size {size}")
+        head = qi[Q_HEAD]
+        cap = self._keys.shape[0]
         if n_probes is None:
-            head = self._head
-            if head + n <= self.capacity:
+            if head + n <= cap:
                 ops = self._ops[head : head + n]
             else:
                 ops = self._ops[self._live_indices(n)]
             n_probes = int(np.count_nonzero(ops == OP_PROBE))
-        self._n_probes -= n_probes
-        if self._n_probes < 0:
+        probes = qi[Q_PROBES] - n_probes
+        if probes < 0:
             raise SimulationError("probe counter underflow")
-        self._head = (self._head + n) % self._keys.shape[0]
-        self._size -= n
-        self._consumed += n
-        if self._size == 0 and not self._monotonic:
-            # A drained queue is trivially ordered again.
-            self._monotonic = True
-            self._tail_time = -np.inf
+        qi[Q_PROBES] = probes
+        qi[Q_HEAD] = (head + n) % cap
+        size -= n
+        qi[Q_SIZE] = size
+        consumed = qi[Q_CONSUMED] + n
+        qi[Q_CONSUMED] = consumed
+        if not qi[Q_ORDERED]:
+            if size == 0:
+                # A drained queue is trivially ordered again.
+                qi[Q_ORDERED] = 1
+                self._qf[QF_TAIL] = -np.inf
+            elif consumed >= qi[Q_MARK]:
+                # The disordered region is served; everything behind it
+                # was pushed in order.
+                qi[Q_ORDERED] = 1
 
     def extract_keys(self, keys: set[int] | frozenset[int]) -> Batch:
         """Remove and return every queued tuple whose key is in ``keys``.
@@ -401,15 +487,15 @@ class TupleQueue:
             ops=live_ops[keep].copy(),
         )
         # Rebuild the buffer with the survivors; counters recomputed on push.
-        # A subsequence of an ordered queue is still ordered, so the
-        # monotonic flag survives the rebuild.
-        was_monotonic = self._monotonic
+        # A subsequence of an ordered queue is still ordered (and an empty
+        # one trivially), so the ordered flag survives the rebuild.
+        was_ordered = self._monotonic
         self._head = 0
         self._size = 0
         self._n_probes = 0
         self.push(kept)
-        if was_monotonic:
-            self._monotonic = True
+        if was_ordered or not len(kept):
+            self._monotonic = 1
             self._tail_time = float(kept.times[-1]) if len(kept) else -np.inf
         return out
 
@@ -420,6 +506,6 @@ class TupleQueue:
         self._head = 0
         self._size = 0
         self._n_probes = 0
-        self._monotonic = True
+        self._monotonic = 1
         self._tail_time = -np.inf
         return everything

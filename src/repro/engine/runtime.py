@@ -21,7 +21,9 @@ from ..data.streams import StreamSource
 from ..errors import SimulationError
 from ..join.dispatcher import Dispatcher
 from ..join.instance import JoinInstance
+from ..join.service import ServiceTable
 from .clock import SimClock
+from .columns import R_TAKE, RF_LATENCY, RF_RESULTS
 from .metrics import MetricsCollector, RunMetrics
 
 __all__ = ["StreamJoinRuntime"]
@@ -67,6 +69,9 @@ class StreamJoinRuntime:
         self._instances = tuple(
             self.dispatcher.groups["R"] + self.dispatcher.groups["S"]
         )
+        # The struct of arrays the per-tick service pass runs over; it
+        # adopts the instances' scalars (DESIGN §9).
+        self._service = ServiceTable(self._instances)
         # Optional invariant guards (repro.validate.invariants).  None by
         # default: the only steady-state cost of the hook is one ``is not
         # None`` test per tick, so benchmarks are unaffected unless a
@@ -148,6 +153,7 @@ class StreamJoinRuntime:
         self._instances = tuple(
             self.dispatcher.groups["R"] + self.dispatcher.groups["S"]
         )
+        self._service = ServiceTable(self._instances)
         self._qlen_valid = False
 
     # ------------------------------------------------------------------ #
@@ -216,46 +222,40 @@ class StreamJoinRuntime:
             t_mark = t_now
             a_mark = prof.mark_alloc()
 
+        # The service pass (repro.join.service.ServiceTable): every
+        # instance served in one pass, then one fold of its report block.
         end = now + dt
-        tot_processed = 0
-        tot_results = 0.0
-        lat_sum = 0.0
-        lat_count = 0
-        work_done = 0.0
-        reports = []
-        qlen_sum = 0
-        qlen_max = 0
-        for inst in self._instances:
-            report = inst.step(now, dt)
-            qlen = len(inst.queue)
-            qlen_sum += qlen
-            if qlen > qlen_max:
-                qlen_max = qlen
-            if not report.idle:
-                reports.append(report)
-                if obs is not None:
-                    tot_processed += report.n_processed
-                    tot_results += report.n_results
-                    lat_sum += float(report.latencies.sum())
-                    lat_count += int(report.latencies.size)
-                    work_done += report.work_units
-        self._qlen_sum = qlen_sum
-        self._qlen_max = qlen_max
+        table = self._service
+        n_served = table.run(now, dt, prof=prof)
+        self._qlen_sum = table.qlen_sum
+        self._qlen_max = table.qlen_max
         self._qlen_valid = True
+        if prof is not None:
+            t_mark = prof.now()
+            a_mark = prof.mark_alloc()
         comps = None
-        if reports:
-            comps = self.metrics.record_service_many(end, reports)
+        if n_served:
+            comps = self.metrics.record_service_many(end, table)
         if prof is not None:
             t_now = prof.now()
             prof.add(
-                "service", t_now - t_mark, work=work_done,
+                "service.fold", t_now - t_mark, work=n_served,
                 alloc=prof.alloc_since(a_mark),
             )
             t_mark = t_now
             a_mark = prof.mark_alloc()
-        if obs is not None and tot_processed:
+        if obs is not None and n_served:
+            ri = table.rep_i
+            rf = table.rep_f
+            served = ri[R_TAKE] > 0
+            lat_sum = 0.0
+            tot_results = 0.0
+            for r, s in zip(rf[RF_RESULTS, served].tolist(),
+                            rf[RF_LATENCY, served].tolist()):
+                tot_results += r
+                lat_sum += s
             obs.on_service_tick(
-                end, tot_processed, tot_results, lat_sum, lat_count,
+                end, n_served, tot_results, lat_sum, n_served,
                 components=comps,
             )
 

@@ -24,11 +24,43 @@ import numpy as np
 from ..core.selection.base import SelectionProblem
 from ..core.load_model import InstanceLoad
 from ..engine.arena import Arena
+from ..engine.columns import (
+    F_CAPACITY,
+    F_CREDIT,
+    F_EMIT_COST,
+    F_EWMA,
+    F_FLOOR,
+    F_LAT_OFFSET,
+    F_PAUSE_END,
+    F_PAUSED,
+    F_PROBE_BASE,
+    F_QUEUE,
+    F_RESULTS,
+    F_SCAN_COEFF,
+    F_STORE_COST,
+    F_TAU,
+    HOOK_FT,
+    HOOK_OBS,
+    HOOK_TRACK,
+    I_HOOKS,
+    I_MAX_CHUNK,
+    I_MODEL,
+    I_PROBED,
+    I_QUEUE,
+    I_STORE,
+    I_STORED,
+    N_FLOAT,
+    N_INT,
+    Q_NFLOAT,
+    Q_NINT,
+    S_NINT,
+    column_field,
+)
 from ..engine.cost import CostModel, ScanCost
 from ..engine.queues import TupleQueue
-from ..engine.tuples import OP_STORE, Batch
+from ..engine.tuples import Batch
 from ..errors import ConfigError, StorageError
-from .service import _count_nonzero, select_kernel, track_results
+from .service import ServiceTable, model_code, select_kernel
 from .storage import KeyedStore, sorted_union
 from .window import WindowedStore
 
@@ -49,12 +81,13 @@ class ServiceReport:
     metrics collector (:func:`repro.attribution.close_residual`).
 
     Ownership (DESIGN §9): ``latencies`` and the ``comp_*`` arrays alias
-    the producing instance's scratch arena.  They are valid until that
-    instance's *next* ``step()``; the metrics collector consumes them
-    within the same tick (summing / copying into its reservoir), and any
-    consumer that retains them longer must copy.  A non-idle step reuses
-    one report object per instance on the same validity schedule — hold
-    the fields you need, not the report.
+    the report block of the instance's service table (pause overlaps: the
+    instance's arena).  They are valid until that table's *next* pass;
+    the metrics collector consumes them within the same tick (summing /
+    copying into its reservoir), and any consumer that retains them
+    longer must copy.  A non-idle pass reuses one report object per
+    instance on the same validity schedule — hold the fields you need,
+    not the report.
     """
 
     n_processed: int = 0
@@ -113,7 +146,6 @@ class JoinInstance:
             raise ConfigError(f"side must be 'R' or 'S', got {side!r}")
         self.instance_id = int(instance_id)
         self.side = side
-        self.capacity = float(capacity)
         self.cost_model = cost_model if cost_model is not None else ScanCost()
         self.cost_model.validate()
         self.store: KeyedStore | WindowedStore
@@ -121,72 +153,128 @@ class JoinInstance:
             self.store = KeyedStore()
         else:
             self.store = WindowedStore(window_subwindows)
-        # Hot-path binding: the windowed store's match_counts is a pure
-        # delegation, so the probe lookup goes straight to the inner keyed
-        # store (one call frame per chunk is measurable at tick rate).
-        self._match_counts = (
-            self.store._store.match_counts
-            if isinstance(self.store, WindowedStore)
-            else self.store.match_counts
+        # The keyed store holding |R_i| (the window's inner store).  The
+        # probe lookup is bound to it directly: the windowed store's
+        # match_counts is a pure delegation, and one call frame per chunk
+        # is measurable at tick rate.
+        self._keyed = (
+            self.store._store if isinstance(self.store, WindowedStore)
+            else self.store
         )
+        self._match_counts = self._keyed.match_counts
         # Reused per-instance report (DESIGN §9): its arrays alias the
-        # arena and are valid until the next step, so the carrier object
-        # can be recycled on the same schedule.
+        # service table's report block and are valid until the next pass,
+        # so the carrier object can be recycled on the same schedule.
         self._report = ServiceReport()
-        # Grow-only scratch buffers for the tick loop (DESIGN §9).  The
-        # instance owns the arena and shares it with its queue; views it
-        # hands out (ServiceReport arrays) stay valid until the next step.
+        # Grow-only scratch buffers (DESIGN §9).  The instance owns the
+        # arena and shares it with its queue.
         self._arena = Arena()
         self.queue = TupleQueue(arena=self._arena)
-        self._paused_until = 0.0
-        self._work_credit = 0.0
-        self._max_chunk = int(max_service_chunk)
+        # The per-tick scalars live in one column of a service table
+        # (repro.engine.columns); until a runtime adopts the instance, it
+        # is the only column of its own table.
+        self._i = memoryview(np.zeros(N_INT, dtype=np.int64))
+        self._f = memoryview(np.zeros(N_FLOAT, dtype=np.float64))
+        self._f[F_CAPACITY] = float(capacity)
+        self._i[I_MAX_CHUNK] = int(max_service_chunk)
         # Every operation costs at least this much; the peek bound derives
         # from it.  The cost model is immutable, so resolve it once.
-        self._floor_cost = max(
+        self._f[F_FLOOR] = max(
             min(
                 self.cost_model.store_cost,
                 getattr(self.cost_model, "probe_base", 1.0),
             ),
             1e-9,
         )
-        # The per-chunk service kernel (repro.join.service), chosen once:
-        # C when the kernels are built and the cost model is exactly one of
+        cm = self.cost_model
+        self._i[I_MODEL] = model_code(cm)
+        self._f[F_STORE_COST] = float(cm.store_cost)
+        self._f[F_PROBE_BASE] = float(getattr(cm, "probe_base", 0.0))
+        self._f[F_SCAN_COEFF] = float(getattr(cm, "scan_coeff", 0.0))
+        self._f[F_EMIT_COST] = float(getattr(cm, "emit_cost", 0.0))
+        # The kernel this instance can be served by (repro.join.service):
+        # C when the kernel is built and the cost model is exactly one of
         # the two shipped types, numpy otherwise.
-        self.service_kernel, self._service = select_kernel(self.cost_model)
+        self.service_kernel = select_kernel(self.cost_model)
         # Exponential moving average of the probe backlog, with time
         # constant tau.  The monitor reads this smoothed value: an
         # instantaneous queue length sampled once a second is a noisy load
         # signal (a healthy instance's queue oscillates through zero every
         # tick), and Eq. 2's max/min ratio amplifies that noise into
         # spurious migrations.  tau <= 0 disables smoothing.
-        self._tau = float(backlog_smoothing_tau)
-        self._backlog_ewma = 0.0
+        self._f[F_TAU] = float(backlog_smoothing_tau)
         # Added to every reported latency: the dispatch/network delay a
         # tuple paid before becoming visible in this queue.  Makes reported
         # latency end-to-end (emission -> join completion), which is what
         # surfaces the paper's Fig. 6 effect — latency growing with the
         # instance count through dispatch/gather communication overhead.
-        self.latency_offset = float(latency_offset)
-        # lifetime statistics
-        self.total_stored = 0
-        self.total_probed = 0
-        self.total_results = 0.0
+        self._f[F_LAT_OFFSET] = float(latency_offset)
         # Opt-in per-key join-result accounting for the differential
-        # validation layer (repro.validate); enabling it wraps the kernel.
+        # validation layer (repro.validate).
         self._result_counts: dict[int, float] | None = None
-        # Optional observability bundle (repro.obs): the datapath pays one
-        # ``is None`` test per served tick when it is absent.
-        self.obs = None
+        # Optional observability bundle (repro.obs): the service pass only
+        # calls it for instances that carry one.
+        self._obs = None
         # Tagged pause intervals (start, end, cause) with cause in
         # {"migration", "recovery"}: sorted, non-overlapping, merged when
         # contiguous.  Served tuples attribute the part of their wait that
         # overlaps these intervals to the corresponding component.
-        self._pause_log: list[tuple[float, float, str]] = []
+        self._log: list[tuple[float, float, str]] = []
+        self._f[F_PAUSE_END] = -np.inf
         # Optional fault-tolerance state (repro.faults): checkpoint + WAL +
-        # crash flag.  None by default; the datapath pays one ``is None``
-        # test per tick (and one per stored chunk) when disabled.
+        # crash flag.  None by default.
         self._ft = None
+        ServiceTable([self])
+
+    def _bind(self, table: ServiceTable, slot: int) -> None:
+        """Read and write this instance's scalars (and its queue's and
+        store's) in column ``slot`` of ``table`` from now on."""
+        self._table = table
+        self._slot = slot
+        self._i = memoryview(table.ints[:, slot])
+        self._f = memoryview(table.floats[:, slot])
+        self.queue.bind_columns(
+            table.ints[I_QUEUE : I_QUEUE + Q_NINT, slot],
+            table.floats[F_QUEUE : F_QUEUE + Q_NFLOAT, slot],
+        )
+        self._keyed.bind_columns(table.ints[I_STORE : I_STORE + S_NINT, slot])
+
+    def _set_hook(self, hook: int, on: bool) -> None:
+        if on:
+            self._i[I_HOOKS] |= hook
+        else:
+            self._i[I_HOOKS] &= ~hook
+        self._table.refresh_hooks()
+
+    capacity = column_field("_f", F_CAPACITY, "work units per second")
+    latency_offset = column_field(
+        "_f", F_LAT_OFFSET, "dispatch delay added to every latency"
+    )
+    total_stored = column_field("_i", I_STORED, "lifetime stores served")
+    total_probed = column_field("_i", I_PROBED, "lifetime probes served")
+    total_results = column_field("_f", F_RESULTS, "lifetime join results")
+    _work_credit = column_field("_f", F_CREDIT, "credit carried across ticks")
+    _paused_until = column_field("_f", F_PAUSED, "paused until (0: not)")
+    _backlog_ewma = column_field("_f", F_EWMA, "smoothed probe backlog")
+    _tau = column_field("_f", F_TAU, "backlog smoothing time constant")
+
+    @property
+    def obs(self):
+        return self._obs
+
+    @obs.setter
+    def obs(self, obs) -> None:
+        self._obs = obs
+        self._set_hook(HOOK_OBS, obs is not None)
+
+    @property
+    def _pause_log(self) -> list[tuple[float, float, str]]:
+        return self._log
+
+    @_pause_log.setter
+    def _pause_log(self, log: list[tuple[float, float, str]]) -> None:
+        self._log = log
+        self._f[F_PAUSE_END] = log[-1][1] if log else -np.inf
 
     # ------------------------------------------------------------------ #
     # data path
@@ -235,7 +323,7 @@ class JoinInstance:
         wait, which never breaks the accounting identity (queue wait is
         the residual by construction).
         """
-        log = self._pause_log
+        log = self._log
         start = float(start)
         end = float(end)
         if log and start < log[-1][1]:
@@ -250,7 +338,8 @@ class JoinInstance:
             floor = self.queue.earliest_time()
             if floor is None:
                 floor = start
-            self._pause_log = [iv for iv in log if iv[1] > floor]
+            log = [iv for iv in log if iv[1] > floor]
+        self._pause_log = log
 
     def _pause_overlaps(
         self, taken_times: np.ndarray, scratch: np.ndarray | None = None
@@ -263,10 +352,10 @@ class JoinInstance:
         ``max(e - max(a, s), 0)`` seconds — no completion times needed.
 
         The component vectors ride in the (reused) ServiceReport, so they
-        live in ``scratch`` (three vectors' worth of arena memory; ``step``
-        passes the tail of its per-tick float block, grown during warm-up)
-        — fresh allocations here would survive the tick in the recycled
-        report and break the steady-state allocation budget.
+        live in ``scratch`` (three vectors' worth; by default the arena's
+        ``pause`` block, grown during warm-up) — fresh allocations here
+        would survive the tick in the recycled report and break the
+        steady-state allocation budget.
         """
         n = taken_times.shape[0]
         if scratch is None:
@@ -276,7 +365,7 @@ class JoinInstance:
         ov_buf = scratch[2 * n : 3 * n]
         mig: np.ndarray | None = None
         rec: np.ndarray | None = None
-        for start, end, cause in self._pause_log:
+        for start, end, cause in self._log:
             if cause == "migration":
                 dst, fresh = mig, mig is None
                 if fresh:
@@ -298,114 +387,12 @@ class JoinInstance:
         return mig, rec
 
     def step(self, now: float, dt: float) -> ServiceReport:
-        """Serve the queue for one tick ending at ``now + dt``."""
-        queue = self.queue
-        if self._tau > 0:
-            alpha = min(dt / self._tau, 1.0)
-            self._backlog_ewma += alpha * (queue.probe_backlog - self._backlog_ewma)
-        else:
-            self._backlog_ewma = float(queue.probe_backlog)
-        # A crashed instance serves nothing; its (durable) queue keeps
-        # absorbing dispatched tuples until the injector recovers it.
-        if (self._ft is not None and self._ft.crashed) or now < self._paused_until:
+        """Serve the queue for one tick ending at ``now + dt``: the service
+        pass of this instance's table over this instance's column alone."""
+        slot = self._slot
+        if not self._table.run(now, dt, slot, slot + 1):
             return _IDLE_REPORT
-        self._paused_until = 0.0
-
-        # Budget for this tick plus any overdraft (negative credit) from a
-        # tuple that straddled the previous tick boundary.  Idle capacity is
-        # never banked: credit is clamped to <= 0 whenever the queue drains.
-        credit = self._work_credit + self.capacity * dt
-        if len(queue) == 0 or credit <= 0:
-            self._work_credit = min(credit, 0.0)
-            return _IDLE_REPORT
-
-        # Bound the peek by what this tick's credit could possibly afford:
-        # every operation costs at least min(store, probe_base) work units,
-        # so peeking deeper than credit/floor_cost wastes copying on
-        # backlogged queues.
-        affordable = int(credit / self._floor_cost) + 1
-        batch = queue.peek_visible(now + dt, limit=min(self._max_chunk, affordable))
-        n = len(batch)
-        if n == 0:
-            self._work_credit = min(credit, 0.0)
-            return _IDLE_REPORT
-
-        # One arena block per dtype (layout in repro.join.service): a
-        # steady-state tick allocates nothing (DESIGN §9), and the report's
-        # arrays alias the blocks until the next step.
-        arena = self._arena
-        fblk = arena.array("step_f", 6 * n, np.float64)
-        iblk = arena.array("step_i", 3 * n, np.int64)
-        bblk = arena.array("step_b", 2 * n, np.bool_)
-        store_mask = bblk[:n]
-        np.equal(batch.ops, OP_STORE, out=store_mask)
-        n_stores = int(_count_nonzero(store_mask))
-        # Push-time key bounds: one conservative range check replaces the
-        # store's per-call min/max reductions (see TupleQueue.key_bounds).
-        key_bounds = (queue._key_lo, queue._key_hi)
-        # Stored count per position at chunk start: a dense-table gather on
-        # the raw keys.  A pure-store chunk never consults the store.
-        match_counts = None if n_stores == n else self._match_counts(
-            batch.keys, out=iblk[:n], bounds=key_bounds
-        )
-        n_take, n_stored, n_results, spent = self._service(
-            self, batch, n_stores, match_counts, key_bounds, credit, now,
-            fblk, iblk, bblk,
-        )
-
-        leftover = credit - spent
-        if n_take == n:
-            # Drained everything visible: idle remainder is not banked.
-            leftover = min(leftover, 0.0)
-        self._work_credit = leftover
-        taken_keys = batch.keys[:n_take]
-        taken_times = batch.times[:n_take]
-        # Pause overlaps (DESIGN §5): intervals are sorted, so when the taken
-        # times are nondecreasing (flag read before consume() resets it) and
-        # the last interval ends before the first arrival, all are 0: None.
-        comp_migration = comp_recovery = None
-        log = self._pause_log
-        if log and not (queue._monotonic and log[-1][1] <= taken_times[0]):
-            comp_migration, comp_recovery = self._pause_overlaps(
-                taken_times, fblk[3 * n :]
-            )
-        n_probed = n_take - n_stored
-        queue.consume(n_take, n_probes=n_probed)
-        if n_stored:
-            taken_mask = store_mask[:n_take]
-            if self._ft is not None:
-                # WAL append: crash recovery replays these keys on top of
-                # the last checkpoint.  The WAL retains the array, so the
-                # mask-indexed copy is the copy-out point, never scratch.
-                stored_keys = taken_keys[taken_mask]
-                self.store.add_batch(stored_keys)
-                self._ft.record_stores(stored_keys)
-            else:
-                # No WAL: scatter the 0/1 store mask over the whole chunk
-                # instead of materialising keys[mask] (bit-identical —
-                # probes add zero).
-                weights = iblk[2 * n : 2 * n + n_take]
-                np.copyto(weights, taken_mask, casting="unsafe")
-                self.store.add_weighted(
-                    taken_keys, weights, n_stored, bounds=key_bounds
-                )
-
-        self.total_stored += n_stored
-        self.total_probed += n_probed
-        self.total_results += n_results
-        report = self._report
-        report.n_processed = n_take
-        report.n_stored = n_stored
-        report.n_probed = n_probed
-        report.n_results = n_results
-        report.latencies = fblk[n : n + n_take]
-        report.work_units = spent
-        report.comp_service = fblk[:n_take]
-        report.comp_migration = comp_migration
-        report.comp_recovery = comp_recovery
-        if self.obs is not None:
-            self.obs.on_instance_step(self, report)
-        return report
+        return self._table.report(slot)
 
     # ------------------------------------------------------------------ #
     # monitoring & migration hooks
@@ -441,7 +428,7 @@ class JoinInstance:
         """
         if self._result_counts is None:
             self._result_counts = defaultdict(float)
-            self._service = track_results(self._service, self._result_counts)
+            self._set_hook(HOOK_TRACK, True)
 
     @property
     def result_tracking(self) -> bool:
@@ -547,6 +534,7 @@ class JoinInstance:
         the faults layer).
         """
         self._ft = ckptr
+        self._set_hook(HOOK_FT, True)
 
     def sync_checkpoint(self, now: float) -> None:
         """Force a checkpoint after an out-of-band store mutation.

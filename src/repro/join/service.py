@@ -1,18 +1,16 @@
-"""The per-chunk service kernel of a join instance (DESIGN §9).
+"""The service pass: every join instance of a runtime served per tick
+(DESIGN §9).
 
-:meth:`JoinInstance.step <repro.join.instance.JoinInstance.step>` does the
-bookkeeping around a service chunk (credit, peek, consume, store, report)
-and hands the computation in between to a kernel, chosen once per
-instance by :func:`select_kernel`: :func:`service_numpy`, the reference
-chain of in-place numpy ops, or the C kernel around
-:mod:`repro.engine.ckernels`, which repeats every float operation in the
-same order and so gives byte-identical outputs.  A call::
+:class:`ServiceTable` is the struct of arrays the pass runs over and the
+pass itself, on the C kernel of :mod:`repro.engine.ckernels` or on its
+numpy reference, chosen once per table.  The numpy reference serves each
+staged chunk with :func:`service_numpy`, the per-chunk kernel::
 
-    n_take, n_stored, n_results, spent = kernel(
+    n_take, n_stored, n_results, spent = service_numpy(
         inst, batch, n_stores, match_counts, bounds, credit, now,
         fblk, iblk, bblk)
 
-adds the intra-chunk same-key correction into ``match_counts`` (the
+which adds the intra-chunk same-key correction into ``match_counts`` (the
 stored counts gathered at chunk start; None for a pure-store chunk),
 prices every tuple, serves while ``credit`` lasts (one overdraft tuple
 allowed) and returns the tuples taken, the stores among them, the join
@@ -21,20 +19,83 @@ the caller's, ``fblk`` 6n float64, ``iblk`` 3n int64 and ``bblk`` 2n bool
 for an n-tuple chunk: ``bblk[:n]`` holds the store mask on entry; on
 return ``fblk[:n_take]`` holds the taken tuples' service components and
 ``fblk[n:n + n_take]`` their latencies; ``fblk[3n:]`` and ``iblk[2n:]``
-are the caller's.
+are the caller's.  The C kernel repeats every float operation of the
+reference in the same order, so both give byte-identical results.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from ..engine import ckernels as _ck
 from ..engine.arena import Arena
+from ..engine.columns import (
+    DENSE_KEY_CAP,
+    F_CAPACITY,
+    F_CREDIT,
+    F_EWMA,
+    F_FLOOR,
+    F_PAUSE_END,
+    F_PAUSED,
+    F_RESULTS,
+    F_TAU,
+    FL_COUNTER,
+    FL_GATHER,
+    FL_GROW,
+    FL_OBS,
+    FL_PAUSE,
+    FL_PSK,
+    FL_STORE,
+    FL_TRACK,
+    FL_WAL,
+    HOOK_FT,
+    HOOK_OBS,
+    HOOK_TRACK,
+    I_CRASHED,
+    I_DENSE_LEN,
+    I_HOOKS,
+    I_MAX_CHUNK,
+    I_P_DENSE,
+    I_P_KEYS,
+    I_P_OPS,
+    I_P_ROW,
+    I_P_TIMES,
+    I_PROBED,
+    I_QGEN_SEEN,
+    I_QUEUE,
+    I_ROW_LEN,
+    I_SGEN_SEEN,
+    I_STORED,
+    MODEL_INDEXED,
+    MODEL_OTHER,
+    MODEL_SCAN,
+    N_FLOAT,
+    N_INT,
+    NR_FLOAT,
+    NR_INT,
+    Q_GEN,
+    Q_KEY_HI,
+    Q_KEY_LO,
+    R_FLAGS,
+    R_N,
+    R_NSTORES,
+    R_OFF,
+    R_SEG,
+    R_STORED,
+    R_TAKE,
+    RF_LATENCY,
+    RF_MIGRATION,
+    RF_RECOVERY,
+    RF_RESULTS,
+    RF_SERVICE,
+    RF_SPENT,
+    S_GEN,
+)
 from ..engine.cost import CostModel, IndexedCost, ScanCost
+from ..engine.tuples import OP_STORE, Batch
+from ..errors import SimulationError
 
-__all__ = ["select_kernel", "service_numpy", "track_results"]
+__all__ = ["ServiceTable", "select_kernel", "service_numpy"]
 
 
 def _prior_same_key_stores(
@@ -74,10 +135,6 @@ try:  # pragma: no cover - plain count_nonzero on other numpy layouts
 except AttributeError:  # pragma: no cover
     _count_nonzero = np.count_nonzero
 
-#: Dense same-key counter cap for the C correction: bounds above this
-#: would ask for a >16 MB counter table, so such chunks (no shipped
-#: workload comes close) take the numpy correction.
-_PSK_C_CAP = 1 << 21
 
 
 #: Below this chunk length the dict-based scalar loop beats the vector
@@ -279,89 +336,474 @@ def service_numpy(inst, batch, n_stores, match_counts, bounds, credit, now,
     return n_take, n_stored, n_results, spent
 
 
-def _service_c(cost_model: CostModel):
-    """The C kernel for one of the two shipped cost models: the same-key
-    correction (``psk_correct``) and the fused ``step_service`` pass."""
-    lib = _ck.lib
-    ffi = _ck.ffi
-    buf = ffi.from_buffer
-    null = ffi.NULL
-    model = 0 if type(cost_model) is ScanCost else 1
-    store_cost = float(cost_model.store_cost)
-    probe_base = float(cost_model.probe_base)
-    scan_coeff = float(getattr(cost_model, "scan_coeff", 0.0))
-    emit_cost = float(cost_model.emit_cost)
-    out_i = ffi.new("int64_t[3]")
-    out_d = ffi.new("double[1]")
+def model_code(cost_model: CostModel) -> int:
+    """The cost model's ``I_MODEL`` code in the service table: an exact
+    type check, since a subclass may override ``probe_costs``."""
+    if type(cost_model) is ScanCost:
+        return MODEL_SCAN
+    if type(cost_model) is IndexedCost:
+        return MODEL_INDEXED
+    return MODEL_OTHER
 
-    def service_c(inst, batch, n_stores, match_counts, bounds, credit, now,
-                  fblk, iblk, bblk):
-        keys = batch.keys
-        n = keys.shape[0]
-        mask = buf("unsigned char[]", bblk)
-        if match_counts is None:
-            match = null
-        else:
-            match = buf("int64_t[]", match_counts)
-            if n_stores:
-                lo, hi = bounds
-                if 0 <= lo and hi < _PSK_C_CAP:
-                    # One O(n) pass over dense per-key running counters.
-                    # The counter buffer is all-zero between calls (the
-                    # kernel un-writes the slots it touched), so
-                    # ``Arena.zeros`` never has to clear it.
-                    cnt = inst._arena.zeros("psk_cnt", hi + 1, np.int64)
-                    lib.psk_correct(
-                        buf("int64_t[]", keys), mask, match, n,
-                        buf("int64_t[]", cnt),
-                    )
-                else:  # key-range guard: no dense counter table
-                    _accumulate_prior_same_key_stores(
-                        keys, bblk[:n], match_counts, inst._arena, bounds
-                    )
-        costs = buf("double[]", fblk)
-        lib.step_service(
-            match, mask, buf("double[]", batch.times), costs, costs + n, n,
-            inst.store.total, model, 1 if match_counts is None else 0,
-            store_cost, probe_base, scan_coeff, emit_cost, credit,
-            inst.capacity, now, inst.latency_offset, out_i, out_d,
+
+def select_kernel(cost_model: CostModel) -> str:
+    """The kernel an instance with ``cost_model`` can be served by:
+    ``"c"`` when the C kernel is built and the model is exactly
+    :class:`ScanCost` or :class:`IndexedCost`, ``"numpy"`` otherwise."""
+    if _ck.lib is not None and model_code(cost_model) != MODEL_OTHER:
+        return "c"
+    return "numpy"
+
+
+_PREPARE = FL_PSK | FL_GROW | FL_COUNTER
+_AFTER = FL_STORE | FL_PAUSE | FL_WAL | FL_TRACK | FL_OBS
+
+
+class ServiceTable:
+    """The struct of arrays one service pass per tick runs over.
+
+    Building a table *adopts* its instances: each instance's scalars, its
+    queue's cursors and its store's total move into one column of the
+    table's int64/float64 blocks (rows in :mod:`repro.engine.columns`), and
+    the objects read and write them there from then on.  A runtime owns one
+    table over all of its instances; a standalone :class:`JoinInstance`
+    owns a one-column table, so :meth:`JoinInstance.step` is the same pass
+    over one column.
+
+    :meth:`run` serves columns ``[lo, hi)`` for one tick:
+
+    1. *plan* — backlog EWMA, crash/pause and credit decisions, the
+       visibility cut of each queue and the staging of every visible chunk
+       into one concatenated key/time/store-mask block;
+    2. *gather* — each probe-carrying chunk's stored counts, through the
+       store method the instance bound at construction, plus growth of the
+       dense tables, window rows and counter table the kernel will write;
+    3. *serve* — same-key correction, pricing, credit cutoff, latencies and
+       service components, consume bookkeeping, the store add, lifetime
+       totals and the tick's report block with numpy-order sums;
+    4. the rare paths the kernel flags: out-of-range store keys, pause
+       overlaps, WAL copy-out, per-key result tracking and observability.
+
+    Plan and serve run in C when every instance can be served by it
+    (:func:`select_kernel`) and in numpy otherwise, chosen once; both
+    leave byte-identical state and reports.  The report block holds, per
+    column, the served/stored counts, results, spent work and the sums of
+    latencies and components (``R_*``/``RF_*`` rows), with the served
+    tuples' latencies and service components concatenated in column order
+    in :attr:`lat`/:attr:`comp` at offset ``R_SEG``.  It is valid until the
+    next :meth:`run`.
+    """
+
+    def __init__(self, instances) -> None:
+        self.instances = list(instances)
+        w = self.width = len(self.instances)
+        self.ints = np.zeros((N_INT, w), dtype=np.int64)
+        self.floats = np.zeros((N_FLOAT, w), dtype=np.float64)
+        self.rep_i = np.zeros((NR_INT, w), dtype=np.int64)
+        self.rep_f = np.zeros((NR_FLOAT, w), dtype=np.float64)
+        for slot, inst in enumerate(self.instances):
+            self.ints[:, slot] = inst._i
+            self.floats[:, slot] = inst._f
+            inst._bind(self, slot)
+        # Force a pointer refresh on the first pass.
+        self.ints[I_QGEN_SEEN] = -1
+        self._match = [inst._match_counts for inst in self.instances]
+        self._mig: list = [None] * w
+        self._rec: list = [None] * w
+        self._arena = Arena()
+        self.kernel = (
+            "c" if _ck.lib is not None
+            and all(i.service_kernel == "c" for i in self.instances)
+            else "numpy"
         )
-        return out_i[0], out_i[1], float(out_i[2]), out_d[0]
+        #: queued tuples after the last pass, their maximum, tuples served
+        self.qlen_sum = self.qlen_max = self.n_served = 0
+        self._room = 0
+        self._stage(64)
+        self._grow_counter(64)
+        if self.kernel == "c":
+            buf = _ck.ffi.from_buffer
+            self._c_blocks = (
+                buf("double[]", self.floats), buf("int64_t[]", self.ints),
+                buf("int64_t[]", self.rep_i), buf("double[]", self.rep_f),
+            )
+            self._c_out = _ck.ffi.new("int64_t[4]")
+        self.refresh_hooks()
 
-    return service_c
+    # -- bookkeeping ----------------------------------------------------- #
 
+    def refresh_hooks(self) -> None:
+        """Re-read which instances carry a checkpointer (their crash flag
+        is refreshed before every pass)."""
+        self._ft = [
+            (slot, inst._ft) for slot, inst in enumerate(self.instances)
+            if inst._ft is not None
+        ]
 
-def select_kernel(cost_model: CostModel) -> tuple[str, Callable]:
-    """``(name, kernel)`` serving ``cost_model``: ``"c"`` when the C
-    kernels are built and the model is exactly :class:`ScanCost` or
-    :class:`IndexedCost`, ``"numpy"`` otherwise."""
-    if _ck.lib is not None and type(cost_model) in (ScanCost, IndexedCost):
-        return "c", _service_c(cost_model)
-    return "numpy", service_numpy
+    def _stage(self, m: int) -> None:
+        """Size the staging and report blocks for ``m`` tuples."""
+        a = self._arena
+        ints = a.array("stage_i", 2 * m, np.int64)
+        floats = a.array("stage_f", 3 * m, np.float64)
+        self._keys, self._counts = ints[:m], ints[m:]
+        self._times, self.lat, self.comp = floats[:m], floats[m : 2 * m], floats[2 * m :]
+        self._mask = a.array("stage_b", m, np.bool_)
+        self._room = m
+        if self.kernel == "c":
+            buf = _ck.ffi.from_buffer
+            self._c_stage = (
+                buf("int64_t[]", self._keys), buf("double[]", self._times),
+                buf("unsigned char[]", self._mask),
+                buf("int64_t[]", self._counts), buf("double[]", self.lat),
+                buf("double[]", self.comp),
+            )
 
+    def _grow_counter(self, n: int) -> None:
+        """The shared same-key counter table, all-zero between chunks."""
+        self._cnt = self._arena.zeros("psk_cnt", n, np.int64)
+        if self.kernel == "c":
+            self._c_cnt = _ck.ffi.from_buffer("int64_t[]", self._cnt)
 
-def track_results(kernel: Callable, counts: dict[int, float]) -> Callable:
-    """Wrap ``kernel`` to fold each taken probe's join results into
-    ``counts`` (a key -> results ``defaultdict(float)``), for the
-    differential validation layer.  Allocating the compacted views is
-    fine: validation is not the hot path, and the bare datapath never
-    runs this wrapper."""
+    def _take_pointers(self, lo: int, hi: int) -> None:
+        """Record the ring, dense-table and window-row addresses of
+        columns ``[lo, hi)`` for the C kernel."""
+        ints = self.ints
+        for slot in range(lo, hi):
+            inst = self.instances[slot]
+            q = inst.queue
+            ints[I_P_KEYS, slot] = q._keys.ctypes.data
+            ints[I_P_TIMES, slot] = q._times.ctypes.data
+            ints[I_P_OPS, slot] = q._ops.ctypes.data
+            ints[I_QGEN_SEEN, slot] = q._qi[Q_GEN]
+            keyed = inst._keyed
+            ints[I_P_DENSE, slot] = keyed._dense.ctypes.data
+            ints[I_DENSE_LEN, slot] = keyed._dense.shape[0]
+            if keyed is inst.store:
+                ints[I_P_ROW, slot] = ints[I_ROW_LEN, slot] = 0
+            else:
+                row = inst.store._ring[inst.store._current_row]
+                ints[I_P_ROW, slot] = row.ctypes.data
+                ints[I_ROW_LEN, slot] = row.shape[0]
+            ints[I_SGEN_SEEN, slot] = keyed._si[S_GEN]
 
-    def tracked(inst, batch, n_stores, match_counts, bounds, credit, now,
-                fblk, iblk, bblk):
-        out = kernel(inst, batch, n_stores, match_counts, bounds, credit,
-                     now, fblk, iblk, bblk)
-        n_take, n_stored = out[0], out[1]
-        if n_take > n_stored:
-            keys = batch.keys[:n_take]
-            results = match_counts[:n_take]
-            if n_stored:
-                keep = ~bblk[:n_take]
-                keys = keys[keep]
-                results = results[keep]
-            for k, c in zip(keys.tolist(), results.tolist()):
-                if c:
-                    counts[k] += c
-        return out
+    # -- the pass -------------------------------------------------------- #
 
-    return tracked
+    def run(self, now: float, dt: float, lo: int = 0, hi: int | None = None,
+            prof=None) -> int:
+        """Serve columns ``[lo, hi)`` for the tick ``[now, now + dt)``;
+        returns the number of tuples served.  With a profiler, the time
+        goes to ``service.gather`` (plan + gather; work: tuples staged)
+        and ``service.kernel`` (serve + rare paths; work: work units
+        spent)."""
+        if hi is None:
+            hi = self.width
+        if prof is not None:
+            t0 = prof.now()
+            mark = prof.mark_alloc()
+        for slot, ft in self._ft:
+            self.ints[I_CRASHED, slot] = ft.crashed
+        c = self.kernel == "c"
+        m = self._plan_c(lo, hi, now, dt) if c else self._plan_numpy(lo, hi, now, dt)
+        if m:
+            self._gather(lo, hi)
+        if prof is not None:
+            t1 = prof.now()
+            prof.add("service.gather", t1 - t0, work=m,
+                     alloc=prof.alloc_since(mark))
+            mark = prof.mark_alloc()
+        if c:
+            flags = self._serve_c(lo, hi, now)
+        else:
+            flags = self._serve_numpy(lo, hi, now)
+        if flags & _AFTER:
+            self._after(lo, hi)
+        if prof is not None:
+            t2 = prof.now()
+            served = self.rep_i[R_TAKE, lo:hi] > 0
+            prof.add("service.kernel", t2 - t1,
+                     work=float(self.rep_f[RF_SPENT, lo:hi][served].sum()),
+                     alloc=prof.alloc_since(mark))
+        return self.n_served
+
+    def _plan_c(self, lo: int, hi: int, now: float, dt: float) -> int:
+        lib = _ck.lib
+        while True:
+            cF, cI, cRI, _ = self._c_blocks
+            ck, ct, cm = self._c_stage[:3]
+            m = lib.service_plan(lo, hi, self.width, cF, cI, cRI, ck, ct, cm,
+                                 self._room, self._cnt.shape[0], now, dt)
+            if m < 0:
+                self._take_pointers(lo, hi)
+            elif m > self._room:
+                self._stage(m)
+            else:
+                return m
+
+    def _plan_numpy(self, lo: int, hi: int, now: float, dt: float) -> int:
+        """The plan half in Python: each instance's former step up to the
+        peek, with the peeked chunks staged like the C kernel stages them."""
+        ri = self.rep_i
+        ri[[R_N, R_TAKE, R_FLAGS], lo:hi] = 0
+        end = now + dt
+        chunks = []
+        total = 0
+        for slot in range(lo, hi):
+            inst = self.instances[slot]
+            f = inst._f
+            queue = inst.queue
+            tau = f[F_TAU]
+            if tau > 0:
+                alpha = min(dt / tau, 1.0)
+                f[F_EWMA] += alpha * (queue.probe_backlog - f[F_EWMA])
+            else:
+                f[F_EWMA] = float(queue.probe_backlog)
+            if inst._i[I_CRASHED] or now < f[F_PAUSED]:
+                continue
+            f[F_PAUSED] = 0.0
+            credit = f[F_CREDIT] + f[F_CAPACITY] * dt
+            if len(queue) == 0 or credit <= 0:
+                f[F_CREDIT] = min(credit, 0.0)
+                continue
+            affordable = int(credit / f[F_FLOOR]) + 1
+            batch = queue.peek_visible(
+                end, limit=min(inst._i[I_MAX_CHUNK], affordable)
+            )
+            n = len(batch)
+            if n == 0:
+                f[F_CREDIT] = min(credit, 0.0)
+                continue
+            f[F_CREDIT] = credit
+            chunks.append((slot, batch))
+            total += n
+        if total > self._room:
+            self._stage(total)
+        off = 0
+        for slot, batch in chunks:
+            n = len(batch)
+            o, off = off, off + n
+            self._keys[o:off] = batch.keys
+            self._times[o:off] = batch.times
+            mask = self._mask[o:off]
+            np.equal(batch.ops, OP_STORE, out=mask)
+            n_stores = int(_count_nonzero(mask))
+            flags = FL_GATHER if n_stores < n else 0
+            if n_stores:
+                klo, khi = self.instances[slot].queue.key_bounds
+                if 0 <= klo and khi < DENSE_KEY_CAP and self._short(slot, khi):
+                    flags |= FL_GROW
+            ri[[R_N, R_NSTORES, R_OFF, R_FLAGS], slot] = (n, n_stores, o, flags)
+        return total
+
+    def _short(self, slot: int, khi: int) -> bool:
+        """Whether the store of ``slot`` needs growth to add key ``khi``."""
+        inst = self.instances[slot]
+        if khi >= inst._keyed._dense.shape[0]:
+            return True
+        store = inst.store
+        return store is not inst._keyed and khi >= store._ring.shape[1]
+
+    def _gather(self, lo: int, hi: int) -> None:
+        """Stored counts of every probe-carrying chunk, and the growth
+        the kernel's writes need."""
+        ri = self.rep_i[:, lo:hi].tolist()
+        ns, nstores, offs, flags = ri[R_N], ri[R_NSTORES], ri[R_OFF], ri[R_FLAGS]
+        klo, khi = self.ints[I_QUEUE + Q_KEY_LO : I_QUEUE + Q_KEY_HI + 1, lo:hi].tolist()
+        keys, counts, match = self._keys, self._counts, self._match
+        for j, fl in enumerate(flags):
+            if not fl:
+                continue
+            o = offs[j]
+            end = o + ns[j]
+            if fl & FL_GATHER:
+                out = counts[o:end]
+                got = match[lo + j](keys[o:end], out=out, bounds=(klo[j], khi[j]))
+                if got is not out:
+                    out[:] = got
+            if fl & _PREPARE:
+                self._prepare(lo + j, fl, o, end, klo[j], khi[j])
+
+    def _prepare(self, slot: int, fl: int, o: int, end: int, klo: int,
+                 khi: int) -> None:
+        inst = self.instances[slot]
+        if fl & FL_PSK:
+            _accumulate_prior_same_key_stores(
+                self._keys[o:end], self._mask[o:end], self._counts[o:end],
+                inst._arena, (klo, khi),
+            )
+        if fl & FL_COUNTER and khi >= self._cnt.shape[0]:
+            self._grow_counter(khi + 1)
+        if fl & FL_GROW:
+            inst._keyed._ensure(khi)
+            if inst.store is not inst._keyed:
+                inst.store._widen(khi)
+            if self.kernel == "c":
+                self._take_pointers(slot, slot + 1)
+
+    def _serve_c(self, lo: int, hi: int, now: float) -> int:
+        cF, cI, cRI, cRF = self._c_blocks
+        ck, ct, cm, cc, cl, cp = self._c_stage
+        out = self._c_out
+        if _ck.lib.service_tick(lo, hi, self.width, cF, cI, cRI, cRF, ck, ct,
+                                cm, cc, cl, cp, self._c_cnt, now, out):
+            raise SimulationError("probe counter underflow")
+        self.qlen_sum = out[0]
+        self.qlen_max = out[1]
+        self.n_served = out[2]
+        return out[3]
+
+    def _serve_numpy(self, lo: int, hi: int, now: float) -> int:
+        """The serve half in Python around :func:`service_numpy`: each
+        instance's former step from the kernel call on."""
+        ri, rf = self.rep_i, self.rep_f
+        rows = ri[:, lo:hi].tolist()
+        takes, stores, segs, flags = (
+            rows[R_TAKE], rows[R_STORED], rows[R_SEG], rows[R_FLAGS]
+        )
+        sums = rf[:, lo:hi].tolist()
+        seg = 0
+        qlen_sum = qlen_max = 0
+        for j, n in enumerate(rows[R_N]):
+            inst = self.instances[lo + j]
+            queue = inst.queue
+            if n:
+                o = rows[R_OFF][j]
+                n_stores = rows[R_NSTORES][j]
+                keys = self._keys[o : o + n]
+                times = self._times[o : o + n]
+                arena = inst._arena
+                fblk = arena.array("step_f", 6 * n, np.float64)
+                iblk = arena.array("step_i", 3 * n, np.int64)
+                bblk = arena.array("step_b", 2 * n, np.bool_)
+                store_mask = bblk[:n]
+                store_mask[:] = self._mask[o : o + n]
+                match = None if n_stores == n else self._counts[o : o + n]
+                bounds = queue.key_bounds
+                f, ci = inst._f, inst._i
+                credit = f[F_CREDIT]
+                n_take, n_stored, n_results, spent = service_numpy(
+                    inst, Batch.wrap(keys, times, None), n_stores, match,
+                    bounds, credit, now, fblk, iblk, bblk,
+                )
+                leftover = credit - spent
+                if n_take == n:
+                    leftover = min(leftover, 0.0)
+                f[F_CREDIT] = leftover
+                fl = flags[j]
+                if inst._log and not (
+                    queue._monotonic and f[F_PAUSE_END] <= times[0]
+                ):
+                    fl |= FL_PAUSE
+                n_probed = n_take - n_stored
+                queue.consume(n_take, n_probes=n_probed)
+                if n_stored:
+                    weights = iblk[2 * n : 2 * n + n_take]
+                    np.copyto(weights, store_mask[:n_take], casting="unsafe")
+                    inst.store.add_weighted(
+                        keys[:n_take], weights, n_stored, bounds=bounds
+                    )
+                ci[I_STORED] += n_stored
+                ci[I_PROBED] += n_probed
+                f[F_RESULTS] += n_results
+                hooks = ci[I_HOOKS]
+                if hooks & HOOK_FT and n_stored:
+                    fl |= FL_WAL
+                if hooks & HOOK_TRACK and n_probed:
+                    fl |= FL_TRACK
+                if hooks & HOOK_OBS:
+                    fl |= FL_OBS
+                lat = self.lat[seg : seg + n_take]
+                comp = self.comp[seg : seg + n_take]
+                lat[:] = fblk[n : n + n_take]
+                comp[:] = fblk[:n_take]
+                takes[j], stores[j], segs[j], flags[j] = n_take, n_stored, seg, fl
+                for row, value in (
+                    (RF_RESULTS, n_results), (RF_SPENT, spent),
+                    (RF_LATENCY, float(np.add.reduce(lat))),
+                    (RF_SERVICE, float(np.add.reduce(comp))),
+                    (RF_MIGRATION, 0.0), (RF_RECOVERY, 0.0),
+                ):
+                    sums[row][j] = value
+                seg += n_take
+            qlen = len(queue)
+            qlen_sum += qlen
+            if qlen > qlen_max:
+                qlen_max = qlen
+        ri[:, lo:hi] = rows
+        rf[:, lo:hi] = sums
+        self.qlen_sum = qlen_sum
+        self.qlen_max = qlen_max
+        self.n_served = seg
+        all_flags = 0
+        for fl in flags:
+            all_flags |= fl
+        return all_flags
+
+    def _after(self, lo: int, hi: int) -> None:
+        """The rare paths the kernel flagged, in column order."""
+        ri = self.rep_i
+        rf = self.rep_f
+        for slot in range(lo, hi):
+            fl = int(ri[R_FLAGS, slot])
+            if not (fl & _AFTER) or not ri[R_TAKE, slot]:
+                continue
+            inst = self.instances[slot]
+            o = int(ri[R_OFF, slot])
+            take = int(ri[R_TAKE, slot])
+            stored = int(ri[R_STORED, slot])
+            keys = self._keys[o : o + take]
+            mask = self._mask[o : o + take]
+            if fl & FL_STORE:
+                # Keys outside the dense table's range: the store's
+                # general path (overflow dict).
+                weights = inst._arena.array("weights", take, np.int64)
+                np.copyto(weights, mask, casting="unsafe")
+                inst.store.add_weighted(
+                    keys, weights, stored, bounds=inst.queue.key_bounds
+                )
+            if fl & FL_PAUSE:
+                mig, rec = inst._pause_overlaps(self._times[o : o + take])
+                self._mig[slot] = mig
+                self._rec[slot] = rec
+                rf[RF_MIGRATION, slot] = (
+                    0.0 if mig is None else float(np.add.reduce(mig))
+                )
+                rf[RF_RECOVERY, slot] = (
+                    0.0 if rec is None else float(np.add.reduce(rec))
+                )
+            if fl & FL_WAL:
+                # WAL append: crash recovery replays these keys on top of
+                # the last checkpoint.  The WAL retains the array, so the
+                # mask-indexed copy is the copy-out point, never scratch.
+                inst._ft.record_stores(keys[mask])
+            if fl & FL_TRACK:
+                counts = inst._result_counts
+                results = self._counts[o : o + take]
+                if stored:
+                    keep = ~mask
+                    keys = keys[keep]
+                    results = results[keep]
+                for k, c in zip(keys.tolist(), results.tolist()):
+                    if c:
+                        counts[k] += c
+            if fl & FL_OBS:
+                inst.obs.on_instance_step(inst, self.report(slot))
+
+    def report(self, slot: int):
+        """Column ``slot``'s part of the last pass as the instance's
+        (reused) :class:`ServiceReport`, whose arrays alias the report
+        block."""
+        ri = self.rep_i[:, slot].tolist()
+        take = ri[R_TAKE]
+        seg = ri[R_SEG]
+        pause = ri[R_FLAGS] & FL_PAUSE
+        rep = self.instances[slot]._report
+        rep.n_processed = take
+        rep.n_stored = ri[R_STORED]
+        rep.n_probed = take - ri[R_STORED]
+        rep.n_results = float(self.rep_f[RF_RESULTS, slot])
+        rep.work_units = float(self.rep_f[RF_SPENT, slot])
+        rep.latencies = self.lat[seg : seg + take]
+        rep.comp_service = self.comp[seg : seg + take]
+        rep.comp_migration = self._mig[slot] if pause else None
+        rep.comp_recovery = self._rec[slot] if pause else None
+        return rep

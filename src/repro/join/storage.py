@@ -25,14 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.columns import DENSE_KEY_CAP, S_GEN, S_NINT, S_TOTAL, column_field
 from ..errors import StorageError
 
 __all__ = ["KeyedStore", "DENSE_KEY_CAP", "sorted_union"]
-
-#: keys in [0, DENSE_KEY_CAP) live in the dense array; others in the
-#: overflow dict.  At the cap the dense table costs 32 MB — large, but
-#: bounded; real workloads use key universes of a few thousand.
-DENSE_KEY_CAP = 1 << 22
 
 _MIN_DENSE = 1024
 
@@ -69,7 +65,23 @@ class KeyedStore:
     def __init__(self) -> None:
         self._dense = np.zeros(_MIN_DENSE, dtype=np.int64)
         self._overflow: dict[int, int] = {}
-        self._total = 0
+        # |R_i| and a generation counter live in a small int64 column that
+        # a service table can re-bind into its struct of arrays
+        # (repro.engine.columns): the C service pass adds served stores to
+        # the dense table directly and needs both.
+        self._si = memoryview(np.zeros(S_NINT, dtype=np.int64))
+
+    _total = column_field("_si", S_TOTAL, "total stored tuples")
+
+    def bind_columns(self, si: np.ndarray) -> None:
+        """Move the total and generation into a caller-owned int64 column
+        of ``S_NINT`` elements (current values are copied in)."""
+        si[:] = self._si
+        self._si = memoryview(si)
+
+    def _moved(self) -> None:
+        """Note that the dense table (or a window row) was reallocated."""
+        self._si[S_GEN] += 1
 
     # -- dense-table plumbing -------------------------------------------- #
 
@@ -83,13 +95,14 @@ class KeyedStore:
         grown = np.zeros(_grow_to(max_key + 1), dtype=np.int64)
         grown[: self._dense.shape[0]] = self._dense
         self._dense = grown
+        self._moved()
 
     # -- introspection --------------------------------------------------- #
 
     @property
     def total(self) -> int:
         """``|R_i|`` — total stored tuples (Eq. 3)."""
-        return self._total
+        return self._si[S_TOTAL]
 
     @property
     def n_keys(self) -> int:

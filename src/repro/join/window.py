@@ -114,6 +114,7 @@ class WindowedStore:
         grown = np.zeros((self._n_subwindows, new_width), dtype=np.int64)
         grown[:, :width] = self._ring
         self._ring = grown
+        self._store._moved()
 
     def _credit_current(self, keys: np.ndarray) -> None:
         """Record a batch of inserts in the current sub-window's row."""
@@ -226,6 +227,7 @@ class WindowedStore:
         if over:
             self._overflow[self._head] = {}
         self._head = (self._head + 1) % self._n_subwindows
+        self._store._moved()  # the current row moved
         return n
 
     def subwindow_sizes(self) -> list[int]:

@@ -326,7 +326,8 @@ class Observability:
             hists["queue_wait"].observe_many(queue_wait)
 
     def on_instance_step(self, inst, report) -> None:
-        """Per-instance publication from ``JoinInstance.step``."""
+        """Per-instance publication from the service pass (one call per
+        instance that served tuples)."""
         if self._ctr_results is None:
             return
         side, iid = inst.side, inst.instance_id

@@ -2,8 +2,11 @@
 
 Before optimising a hot path we must be able to see it.  The
 :class:`PhaseProfiler` attributes three quantities to each runtime phase —
-``dispatch`` (source emission + routing), ``service`` (join-instance
-work), ``monitor`` (load sampling / trigger logic) and ``migrate`` (the
+``dispatch`` (source emission + routing), the service pass split at its
+kernel boundary (``service.gather``: visibility cuts, staging and the
+stored-count gather; ``service.kernel``: the service kernel and its rare
+paths; ``service.fold``: the metrics fold of the tick's report block),
+``monitor`` (load sampling / trigger logic) and ``migrate`` (the
 migration protocol, a sub-interval of ``monitor``):
 
 - **wall seconds** — real ``perf_counter`` time spent in the phase, which
@@ -31,7 +34,10 @@ from time import perf_counter
 __all__ = ["PhaseProfiler", "PhaseStats", "RUNTIME_PHASES"]
 
 #: phases the runtime attributes (``migrate`` nests inside ``monitor``)
-RUNTIME_PHASES = ("dispatch", "service", "monitor", "migrate")
+RUNTIME_PHASES = (
+    "dispatch", "service.gather", "service.kernel", "service.fold",
+    "monitor", "migrate",
+)
 
 
 @dataclass

@@ -286,9 +286,14 @@ class TestRunProfile:
         assert seen == [case]
         entry = out[case.name]
         phases = entry["phases"]
-        assert "service" in phases and "dispatch" in phases
-        assert phases["service"]["wall_s"] > 0
-        assert phases["service"]["work_units"] > 0
+        # The service phase is split at the kernel boundary.
+        for name in ("dispatch", "service.gather", "service.kernel",
+                     "service.fold", "monitor"):
+            assert name in phases, name
+            assert phases[name]["calls"] > 0
+        assert phases["service.kernel"]["wall_s"] > 0
+        assert phases["service.kernel"]["work_units"] > 0
+        assert phases["service.gather"]["work_units"] > 0
         # tracemalloc was live: the phases carry allocation attribution
         assert phases["dispatch"]["alloc_bytes"] > 0
         assert "alloc B" in entry["_profiler"].summary()

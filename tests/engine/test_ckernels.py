@@ -1,15 +1,15 @@
-"""Differential tests: the C service kernel vs the numpy service kernel.
+"""Differential tests: the C service pass vs its numpy reference.
 
-The fused kernels in :mod:`repro.engine.ckernels` claim *bit-identical*
-results to the numpy kernel (DESIGN §9).  These tests hold that claim to
-byte equality, not approximate equality: the two kernels of
-:mod:`repro.join.service` are called directly on identical inputs, and
-whole join instances — one on each kernel — are driven through the same
-workload.
+The C kernel in :mod:`repro.engine.ckernels` claims *bit-identical*
+results to the numpy reference of the service pass (DESIGN §9).  These
+tests hold that claim to byte equality, not approximate equality: whole
+service tables over random multi-instance states are served once on each
+kernel and every column, report, queue and store compared, and whole join
+instances — one on each kernel — are driven through the same workload.
 
-Everything here is skipped when the kernels could not be built (no cffi or
-no C compiler): in that configuration the numpy kernel is the only kernel
-and the rest of the suite already covers it.
+Everything here is skipped when the kernel could not be built (no cffi or
+no C compiler): in that configuration the numpy reference is the only
+kernel and the rest of the suite already covers it.
 """
 
 from types import SimpleNamespace
@@ -20,52 +20,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import ckernels
-from repro.engine.arena import Arena
+from repro.engine.columns import (
+    FL_GATHER,
+    FL_GROW,
+    FL_OBS,
+    FL_PAUSE,
+    FL_TRACK,
+    FL_WAL,
+    I_MODEL,
+    I_QGEN_SEEN,
+    PSK_CAP,
+    R_FLAGS,
+    R_N,
+    R_NSTORES,
+    R_OFF,
+    R_SEG,
+    R_STORED,
+    R_TAKE,
+)
 from repro.engine.cost import IndexedCost, ScanCost
 from repro.engine.tuples import OP_PROBE, OP_STORE, Batch
 from repro.join.instance import JoinInstance
-from repro.join.service import (
-    _PSK_C_CAP,
-    _prior_same_key_stores,
-    select_kernel,
-    service_numpy,
-)
+from repro.join.service import ServiceTable, _prior_same_key_stores, select_kernel
 
 pytestmark = pytest.mark.skipif(
     not ckernels.available(), reason="C kernels unavailable (no cffi/cc)"
 )
 
+#: flags both kernels set (the C kernel also flags work it hands to Python)
+_COMMON_FLAGS = FL_GATHER | FL_GROW | FL_PAUSE | FL_WAL | FL_TRACK | FL_OBS
 
-def _c_kernel(cost_model):
-    name, kernel = select_kernel(cost_model)
-    assert name == "c", "C kernels reported available but not selected"
-    return kernel
+
+class _NumpyScanCost(ScanCost):
+    """A subclass: kernel selection is an exact type check, so it serves on
+    the numpy kernel with the very same formula."""
+
+
+class _NumpyIndexedCost(IndexedCost):
+    pass
 
 
 # --------------------------------------------------------------------- #
-# psk_correct (via the C kernel's same-key correction)
+# the same-key correction
 # --------------------------------------------------------------------- #
 
 
-def _serve(kernel, keys, mask, match, arena, bounds, credit=np.inf):
-    """One kernel call on a probe-carrying chunk over fresh scratch."""
-    n = keys.shape[0]
-    batch = Batch(
-        keys=keys,
-        times=np.zeros(n),
+def _one_chunk(keys, mask, base):
+    """Serve one chunk with ``base`` stored tuples per key on a fresh
+    instance; return the table (its staged counts are corrected)."""
+    inst = JoinInstance(0, capacity=1e9, cost_model=IndexedCost())
+    for k in set(keys.tolist()):
+        if base:
+            inst.store.add(k, base)
+    inst.enqueue(Batch(
+        keys=keys, times=np.zeros(keys.shape[0]),
         ops=np.where(mask, OP_STORE, OP_PROBE).astype(np.int8),
-    )
-    fblk = np.zeros(6 * n)
-    iblk = np.zeros(3 * n, dtype=np.int64)
-    bblk = np.zeros(2 * n, dtype=bool)
-    bblk[:n] = mask
-    inst = SimpleNamespace(
-        cost_model=IndexedCost(), store=SimpleNamespace(total=0),
-        capacity=1_000.0, latency_offset=0.0, _arena=arena,
-    )
-    out = kernel(inst, batch, int(mask.sum()), match, bounds, credit, 0.0,
-                 fblk, iblk, bblk)
-    return out, fblk, bblk
+    ))
+    table = inst._table
+    assert table.kernel == "c"
+    table.run(0.0, 1.0)
+    return table
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,154 +90,249 @@ def _serve(kernel, keys, mask, match, arena, bounds, credit=np.inf):
     base=st.integers(0, 50),
 )
 def test_psk_correct_matches_reference(ops, base):
-    """C counting pass == reference prefix count, for any chunk shape."""
+    """The C counting pass == reference prefix count, for any chunk with
+    a probe (a pure-store chunk gathers no counts)."""
     keys = np.array([k for k, _ in ops], dtype=np.int64)
     mask = np.array([s for _, s in ops])
-    match = np.full(keys.shape[0], base, dtype=np.int64)
-    expected = match + _prior_same_key_stores(keys, mask)
-    _serve(_c_kernel(IndexedCost()), keys, mask, match, Arena(),
-           (int(keys.min()), int(keys.max())))
-    np.testing.assert_array_equal(match, expected)
+    if mask.all():
+        mask[-1] = False
+    table = _one_chunk(keys, mask, base)
+    n = keys.shape[0]
+    assert table.rep_i[R_N, 0] == n
+    expected = base + _prior_same_key_stores(keys, mask)
+    np.testing.assert_array_equal(table._counts[:n], expected)
 
 
 def test_psk_counter_left_all_zero():
-    """The kernel's dense counter is restored to zero between calls."""
-    arena = Arena()
+    """The kernel's dense counter is restored to zero after every chunk."""
     keys = np.array([3, 3, 7, 3, 7], dtype=np.int64)
     mask = np.array([True, True, True, False, True])
-    match = np.zeros(5, dtype=np.int64)
-    _serve(_c_kernel(IndexedCost()), keys, mask, match, arena, (3, 7))
-    cnt = arena.zeros("psk_cnt", 8, np.int64)
-    assert not cnt.any(), "counter buffer must be all-zero after a call"
+    table = _one_chunk(keys, mask, 0)
+    assert table.rep_i[R_TAKE, 0] == 5
+    assert not table._cnt.any(), "counter table must be all-zero after a pass"
 
 
 # --------------------------------------------------------------------- #
-# the two kernels, called directly
+# whole passes over random multi-instance states
 # --------------------------------------------------------------------- #
 
 
 @st.composite
-def _chunks(draw):
-    """A service chunk and everything a kernel call reads besides it."""
-    n = draw(st.integers(1, 300))
-    shape = draw(st.sampled_from(["pure-store", "pure-probe", "mixed"]))
-    if shape == "pure-store":
-        mask = np.ones(n, dtype=bool)
-    elif shape == "pure-probe":
-        mask = np.zeros(n, dtype=bool)
-    else:
-        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    # Small dense keys (the C same-key pass), keys at or past its dense
-    # counter cap, and negative keys (both on the numpy correction).
-    lo = draw(st.sampled_from([0, _PSK_C_CAP - 8, 1 << 40, -50]))
-    span = draw(st.integers(1, 60))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    keys = lo + rng.integers(0, span, n)
-    match = rng.integers(0, 30, n)
-    if draw(st.booleans()):
-        cost_model = ScanCost(
-            store_cost=draw(st.floats(0.1, 3.0)),
-            probe_base=draw(st.floats(0.0, 3.0)),
-            scan_coeff=draw(st.floats(1e-4, 0.1)),
-            emit_cost=draw(st.floats(0.0, 0.2)),
-        )
-    else:
-        cost_model = IndexedCost(
-            store_cost=draw(st.floats(0.1, 3.0)),
-            probe_base=draw(st.floats(0.0, 3.0)),
-            emit_cost=draw(st.floats(0.0, 0.2)),
-        )
-    now = draw(st.floats(0.0, 100.0))
-    times = now + rng.uniform(-1.0, 0.05, n)  # some arrive mid-tick
-    if draw(st.booleans()):
-        times.sort()
+def _instance_specs(draw):
+    model = draw(st.sampled_from(["scan", "indexed"]))
+    window = draw(st.sampled_from([None, 3]))
+    # Small dense keys (the C counter), keys straddling the counter cap
+    # 2**21 (dense store, numpy correction), keys far past the dense table
+    # (overflow store) and negative keys.
+    key_lo = draw(st.sampled_from(
+        [0, 0, 1 << 40, -50] + ([PSK_CAP - 8] if window is None else [])
+    ))
     return dict(
-        keys=keys,
-        mask=mask,
-        match=None if shape == "pure-store" else match,
-        # The queue's push-time bounds are conservative: possibly wider.
-        bounds=(int(keys.min()) - draw(st.integers(0, 3)),
-                int(keys.max()) + draw(st.integers(0, 3))),
-        times=times,
-        cost_model=cost_model,
-        store_total=draw(st.integers(0, 10_000)),
-        capacity=draw(st.floats(10.0, 1e6)),
-        latency_offset=draw(st.sampled_from([0.0, 0.012, 0.25])),
-        now=now,
-        # Fraction of the chunk's full cost, or the exact prefix sum at a
-        # position (the credit-equals-boundary case).
-        cut=draw(st.one_of(st.floats(1e-3, 1.5), st.integers(0, n - 1))),
+        model=model,
+        store_cost=draw(st.floats(0.1, 3.0)),
+        probe_base=draw(st.floats(0.0, 3.0)),
+        scan_coeff=draw(st.floats(1e-4, 0.1)),
+        emit_cost=draw(st.floats(0.0, 0.2)),
+        capacity=draw(st.floats(20.0, 20_000.0)),
+        latency_offset=draw(st.sampled_from([0.0, 0.012])),
+        window=window,
+        tau=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        max_chunk=draw(st.sampled_from([7, 64, 100_000])),
+        key_lo=key_lo,
+        span=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        state=draw(st.sampled_from(
+            ["live", "live", "live", "paused", "resumed", "crashed", "empty"]
+        )),
+        wrap=draw(st.booleans()),
+        unordered=draw(st.booleans()),
+        pause_log=draw(st.sampled_from([None, "migration", "both"])),
+        credit=draw(st.sampled_from([0.0, -3.0, 7.5])),
+        stored=draw(st.integers(0, 200)),
+        tracking=draw(st.booleans()),
+        wal=draw(st.booleans()),
     )
 
 
-def _call(kernel, chunk, credit):
-    """One kernel call on private copies: (every output byte, latencies)."""
-    n = chunk["keys"].shape[0]
-    keys = chunk["keys"].copy()
-    match = None if chunk["match"] is None else chunk["match"].copy()
-    batch = Batch(
-        keys=keys,
-        times=chunk["times"].copy(),
-        ops=np.where(chunk["mask"], OP_STORE, OP_PROBE).astype(np.int8),
+def _build(spec, slot, now, numpy):
+    """One instance in the state ``spec`` describes (deterministic), on
+    the numpy kernel when ``numpy``."""
+    rng = np.random.default_rng(spec["seed"])
+    if spec["model"] == "scan":
+        cost = (_NumpyScanCost if numpy else ScanCost)(
+            store_cost=spec["store_cost"], probe_base=spec["probe_base"],
+            scan_coeff=spec["scan_coeff"], emit_cost=spec["emit_cost"],
+        )
+    else:
+        cost = (_NumpyIndexedCost if numpy else IndexedCost)(
+            store_cost=spec["store_cost"], probe_base=spec["probe_base"],
+            emit_cost=spec["emit_cost"],
+        )
+    inst = JoinInstance(
+        slot, capacity=spec["capacity"], cost_model=cost,
+        window_subwindows=spec["window"], max_service_chunk=spec["max_chunk"],
+        backlog_smoothing_tau=spec["tau"],
+        latency_offset=spec["latency_offset"],
     )
-    fblk = np.zeros(6 * n)
-    iblk = np.zeros(3 * n, dtype=np.int64)
-    bblk = np.zeros(2 * n, dtype=bool)
-    bblk[:n] = chunk["mask"]
-    inst = SimpleNamespace(
-        cost_model=chunk["cost_model"],
-        store=SimpleNamespace(total=chunk["store_total"]),
-        capacity=chunk["capacity"],
-        latency_offset=chunk["latency_offset"],
-        _arena=Arena(),
-    )
-    out = kernel(inst, batch, int(chunk["mask"].sum()), match, chunk["bounds"],
-                 credit, chunk["now"], fblk, iblk, bblk)
-    n_take = out[0]
-    latencies = fblk[n : n + n_take]
-    return (
-        tuple(repr(v) for v in out),
-        None if match is None else match.tobytes(),
-        fblk[:n_take].tobytes(),  # comp_service
-        latencies.tobytes(),
-    ), latencies
+    lo, span = spec["key_lo"], spec["span"]
+
+    def keys(n):
+        return (lo + rng.integers(0, span, n)).astype(np.int64)
+
+    if spec["stored"]:
+        inst.store.add_batch(keys(spec["stored"]))
+    queue = inst.queue
+    if spec["wrap"]:
+        # Move the ring's head so later pushes wrap around its end.
+        queue.push_block(keys(40), now - 2.0, OP_STORE)
+        queue.consume(40)
+    if spec["state"] != "empty":
+        t = now - 1.0
+        for _ in range(int(rng.integers(1, 6))):
+            t += float(rng.uniform(0.0, 0.3))
+            op = OP_STORE if rng.random() < 0.4 else OP_PROBE
+            queue.push_block(keys(int(rng.integers(1, 30))), t, op)
+        if spec["unordered"]:
+            n = int(rng.integers(1, 20))
+            inst.enqueue(Batch(
+                keys=keys(n), times=now + rng.uniform(-1.5, 0.2, n),
+                ops=np.where(rng.random(n) < 0.5, OP_STORE, OP_PROBE)
+                .astype(np.int8),
+            ))
+            # Behind the hand-off: a visible block, then one that is not
+            # (a pass that serves everything visible then stops right at
+            # the disorder watermark with tuples still queued).
+            queue.push_block(keys(5), now - 0.5, OP_PROBE)
+            queue.push_block(keys(5), now + 1.0, OP_STORE)
+    if spec["state"] == "paused":
+        inst.pause_until(now + 0.5)
+    elif spec["state"] == "resumed":
+        inst.pause_until(now - 0.1)
+    if spec["pause_log"]:
+        inst.note_pause(now - 1.2, now - 0.6, "migration")
+        if spec["pause_log"] == "both":
+            inst.note_pause(now - 0.6, now - 0.05, "recovery")
+    inst._work_credit = spec["credit"]
+    if spec["tracking"]:
+        inst.enable_result_tracking()
+    if spec["wal"] or spec["state"] == "crashed":
+        ft = SimpleNamespace(crashed=spec["state"] == "crashed", wal=[])
+        ft.record_stores = ft.wal.append
+        inst.attach_checkpointer(ft)
+    return inst
 
 
-@settings(max_examples=300, deadline=None)
-@given(chunk=_chunks())
-def test_service_kernels_byte_identical(chunk):
-    """``service_c`` and ``service_numpy`` agree byte for byte on every
-    output: the taken/stored/result/spent scalars, the corrected match
-    counts, the service components and the latencies."""
-    # The chunk's exact cost prefix sums: at unit capacity, zero arrival
-    # times, ``now`` and offset, each latency is its prefix sum.
-    _, cum = _call(service_numpy, {
-        **chunk, "capacity": 1.0, "times": np.zeros_like(chunk["times"]),
-        "now": 0.0, "latency_offset": 0.0,
-    }, np.inf)
-    cut = chunk["cut"]
-    # A fraction of the full cost cuts into the chunk (one overdraft
-    # tuple); a position's prefix sum puts the credit on a boundary.
-    credit = cum[-1] * cut if isinstance(cut, float) else cum[cut]
+def _snapshot(table):
+    """Every byte a pass leaves behind; not the pointer rows, nor the cost
+    model's type code (the numpy twin's is a subclass)."""
+    ri, rf = table.rep_i, table.rep_f
+    served = np.flatnonzero(ri[R_TAKE] > 0)
+    out = [
+        np.delete(table.ints[:I_QGEN_SEEN], I_MODEL, axis=0).tobytes(),
+        table.floats.tobytes(),
+        ri[[R_N, R_TAKE]].tobytes(),
+        (ri[R_FLAGS] & _COMMON_FLAGS).tobytes(),
+        ri[[R_NSTORES, R_OFF, R_STORED, R_SEG]][:, served].tobytes(),
+        rf[:, served].tobytes(),
+        table.lat[: table.n_served].tobytes(),
+        table.comp[: table.n_served].tobytes(),
+        (table.qlen_sum, table.qlen_max, table.n_served),
+    ]
+    for slot in served.tolist():
+        o, n = int(ri[R_OFF, slot]), int(ri[R_N, slot])
+        if ri[R_NSTORES, slot] < n:
+            out.append(table._counts[o : o + n].tobytes())  # corrected counts
+        rep = table.report(slot)
+        out.append(tuple(
+            None if a is None else a.tobytes()
+            for a in (rep.comp_migration, rep.comp_recovery)
+        ))
+    for inst in table.instances:
+        q = inst.queue
+        out.append(tuple(a.tobytes() for a in q._live()))
+        keys, counts = inst.store.nonzero_counts()
+        out.append((keys.tobytes(), counts.tobytes(),
+                    inst._keyed._dense.shape))
+        if inst.store is not inst._keyed:
+            out.append(inst.store._ring.tobytes())
+        if inst.checkpointer is not None:
+            out.append(tuple(a.tobytes() for a in inst.checkpointer.wal))
+        if inst.result_tracking:
+            out.append(sorted(inst.result_counts_snapshot().items()))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    specs=st.lists(_instance_specs(), min_size=1, max_size=3),
+    now=st.floats(1.0, 3.0),
+    dt=st.sampled_from([0.01, 0.025, 0.1]),
+    ticks=st.integers(1, 3),
+)
+def test_service_kernels_byte_identical(specs, now, dt, ticks):
+    """One pass per tick over several instances leaves byte-identical
+    columns, reports, latencies, components, corrected counts, queues,
+    stores, WALs and result tallies on the C kernel and the numpy
+    reference: idle, paused and crashed instances; pure-store, pure-probe
+    and mixed chunks; credit cutoffs; wrapped and unordered rings;
+    nonempty pause logs; keys at or past 2**21, past the dense table and
+    negative."""
+    twins = []
+    for numpy in (False, True):
+        insts = [_build(spec, slot, now, numpy)
+                 for slot, spec in enumerate(specs)]
+        twins.append(ServiceTable(insts))
+    c_table, np_table = twins
+    assert c_table.kernel == "c" and np_table.kernel == "numpy"
+    for tick in range(ticks):
+        t = now + tick * dt
+        assert c_table.run(t, dt) == np_table.run(t, dt)
+        assert _snapshot(c_table) == _snapshot(np_table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.one_of(st.floats(1e-3, 1.5), st.integers(0, 199)),
+    scan=st.booleans(),
+)
+def test_credit_cutoff_at_exact_prefix_sums(n, seed, frac, scan):
+    """A credit equal to a chunk's cost prefix sum (the boundary case of
+    the cutoff) or any fraction of its total cost serves the same tuples
+    on both kernels."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 20, n).astype(np.int64)
+    ops = np.where(rng.random(n) < 0.4, OP_STORE, OP_PROBE).astype(np.int8)
+
+    def instance(numpy=False):
+        if scan:
+            cost = _NumpyScanCost() if numpy else ScanCost()
+        else:
+            cost = _NumpyIndexedCost() if numpy else IndexedCost()
+        inst = JoinInstance(0, capacity=1.0, cost_model=cost)
+        inst.enqueue(Batch(keys=keys, times=np.zeros(n), ops=ops))
+        return inst
+
+    # The chunk's exact cost prefix sums: at unit capacity and zero
+    # arrival times, each served tuple's latency is its prefix sum.
+    probe = instance()
+    probe._work_credit = 1e12
+    cum = probe.step(0.0, 0.0).latencies.copy()
+    credit = cum[-1] * frac if isinstance(frac, float) else cum[min(frac, n - 1)]
     credit = max(float(credit), 1e-9)
-    got, _ = _call(_c_kernel(chunk["cost_model"]), chunk, credit)
-    want, _ = _call(service_numpy, chunk, credit)
-    assert got == want
+    reps = []
+    for numpy in (False, True):
+        inst = instance(numpy)
+        inst._work_credit = credit
+        inst._table.run(0.0, 0.0)
+        reps.append(_snapshot(inst._table))
+    assert reps[0] == reps[1]
 
 
 # --------------------------------------------------------------------- #
 # whole instances, one on each kernel
 # --------------------------------------------------------------------- #
-
-
-class _NumpyScanCost(ScanCost):
-    """A subclass: kernel selection is an exact type check, so it serves on
-    the numpy kernel with the very same formula."""
-
-
-class _NumpyIndexedCost(IndexedCost):
-    pass
 
 
 def _twin_instances(cost_model=None, **kwargs):
@@ -292,7 +401,7 @@ def _random_batches(seed, n_batches=8, size=200, key_hi=40, t_span=0.3):
 )
 def test_step_service_matches_numpy(kwargs, tracking):
     """Full step reports are byte-identical between the two kernels, with
-    and without the per-key result-tracking wrapper around them."""
+    and without per-key result tracking."""
     a, b = _twin_instances(**kwargs)
     if tracking:
         a.enable_result_tracking()
@@ -338,7 +447,8 @@ def test_disable_env_falls_back(monkeypatch):
     mod = importlib.reload(ckernels)
     try:
         assert mod.lib is None and not mod.available()
-        assert select_kernel(ScanCost())[0] == "numpy"
+        assert select_kernel(ScanCost()) == "numpy"
+        assert ServiceTable([JoinInstance(0)]).kernel == "numpy"
     finally:
         monkeypatch.delenv("REPRO_NO_CKERNELS")
         importlib.reload(ckernels)

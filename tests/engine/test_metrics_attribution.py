@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.attribution import reconstruct
+from repro.engine.columns import R_TAKE
 from repro.engine.metrics import MetricsCollector
 from repro.join.instance import ServiceReport
 
@@ -112,6 +113,88 @@ class TestPerSecondSums:
         assert ma.total_results == mb.total_results
         assert ma.latency_p99 == mb.latency_p99
         np.testing.assert_array_equal(ma.latency_mean, mb.latency_mean)
+
+
+class TestFusedFold:
+    """``record_service_many`` over a service table's report block must
+    equal the per-report fold of the same pass bit for bit."""
+
+    @staticmethod
+    def _instances(seed):
+        from repro.engine.cost import IndexedCost, ScanCost
+        from repro.join.instance import JoinInstance
+
+        rng = np.random.default_rng(seed)
+        insts = []
+        for i in range(5):
+            cost = ScanCost() if i % 2 else IndexedCost(emit_cost=0.05)
+            inst = JoinInstance(
+                i, capacity=float(rng.uniform(300, 3000)), cost_model=cost,
+                window_subwindows=3 if i == 4 else None,
+                latency_offset=0.01 * (i % 3),
+            )
+            if i in (1, 3):
+                # pause logs: overlapping and non-overlapping intervals
+                inst.note_pause(0.05, 0.3 + 0.1 * i, "migration")
+                inst.note_pause(0.3 + 0.1 * i, 0.7, "recovery")
+            insts.append(inst)
+        return insts, rng
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fused_fold_equals_per_report_fold(self, seed):
+        from repro.engine.tuples import OP_PROBE, OP_STORE, Batch
+        from repro.join.service import ServiceTable
+
+        insts, rng = self._instances(seed)
+        table = ServiceTable(insts)
+        fused = MetricsCollector(warmup=0.4, reservoir_seed=seed)
+        per_report = MetricsCollector(warmup=0.4, reservoir_seed=seed)
+        dt = 0.05
+        folds = 0
+        for tick in range(40):
+            now = tick * dt
+            for inst in insts:
+                if rng.random() < 0.6:
+                    n = int(rng.integers(1, 40))
+                    op = OP_STORE if rng.random() < 0.4 else OP_PROBE
+                    inst.queue.push_block(
+                        rng.integers(0, 30, n).astype(np.int64),
+                        now + float(rng.uniform(-0.1, 0.06)), op,
+                    )
+                if rng.random() < 0.1:
+                    # a migration hand-off: out of order, arbitrary times
+                    k = int(rng.integers(1, 10))
+                    inst.queue.push(Batch(
+                        keys=rng.integers(0, 30, k),
+                        times=now - rng.uniform(0.0, 0.5, k),
+                        ops=np.full(k, OP_PROBE, dtype=np.int8),
+                    ))
+            if not table.run(now, dt):
+                continue
+            end = now + dt
+            reports = [
+                table.report(slot)
+                for slot in np.flatnonzero(table.rep_i[R_TAKE] > 0).tolist()
+            ]
+            got = per_report.record_service_many(end, reports)
+            assert fused.record_service_many(end, table) == got
+            folds += 1
+        assert folds > 20
+        a, b = fused.component_sums(), per_report.component_sums()
+        for name in ("latency", "queue_wait", "service", "migration_pause",
+                     "recovery_pause"):
+            # identical keys (a zero sum creates none) and identical bits
+            assert a[name] == b[name], name
+            assert list(a[name]) == list(b[name]), name
+        assert b["migration_pause"] and b["recovery_pause"]
+        for attr in ("_results", "_processed", "_lat_cnt", "_total_results",
+                     "_total_processed", "_lat_total", "_lat_total_n",
+                     "_comp_total_service", "_comp_total_migration",
+                     "_comp_total_recovery"):
+            assert getattr(fused, attr) == getattr(per_report, attr), attr
+        np.testing.assert_array_equal(
+            fused._reservoir.values(), per_report._reservoir.values()
+        )
 
 
 class TestFinalize:

@@ -248,3 +248,122 @@ class TestWrappedPeek:
         assert out.keys.tolist() == (
             list(range(30, 64)) + list(range(100, 120)) + [7, 8]
         )
+
+
+# --------------------------------------------------------------------- #
+# the order flag and its disorder watermark
+# --------------------------------------------------------------------- #
+
+_queue_ops = st.lists(
+    st.one_of(
+        # an in-order or out-of-order dispatch block
+        st.tuples(st.just("block"), st.integers(1, 40), st.floats(-0.5, 1.0),
+                  st.booleans()),
+        # a generic push with arbitrary times (a migration hand-off)
+        st.tuples(st.just("push"), st.integers(1, 30), st.integers(0, 2**31),
+                  st.booleans()),
+        st.tuples(st.just("consume"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("extract"), st.integers(0, 2**31)),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _reference_peek(times, now, limit):
+    """The visible prefix by a plain scan: up to the first tuple past
+    ``now`` among the first ``limit``."""
+    n = min(len(times), limit)
+    for j in range(n):
+        if times[j] > now:
+            return j
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_queue_ops, peek_at=st.floats(-1.0, 60.0), limit=st.integers(1, 200))
+def test_order_flag_and_watermark(ops, peek_at, limit):
+    """Random push/push_block/consume/extract_keys/clear sequences: the
+    ordered flag only ever claims nondecreasing live times, order returns
+    once every tuple of the disordered region has been consumed, and
+    peek_visible equals a reference scan on either path."""
+    q = TupleQueue(initial_capacity=64)
+    live: list[tuple[int, float, int]] = []  # reference FIFO
+    disordered = 0   # leading live tuples an out-of-order push may disorder
+    tail = -np.inf   # time of the last in-order dispatch block
+    clock = 0.0
+    rng = np.random.default_rng(len(ops))
+    for op in ops:
+        kind = op[0]
+        if kind == "block":
+            _, n, step, probe = op
+            clock += step
+            keys = rng.integers(0, 50, n).astype(np.int64)
+            code = OP_PROBE if probe else OP_STORE
+            q.push_block(keys, clock, code)
+            live += [(int(k), clock, code) for k in keys]
+            if clock < tail:
+                disordered, tail = len(live), -np.inf
+            else:
+                tail = clock
+        elif kind == "push":
+            _, n, seed, probe = op
+            r = np.random.default_rng(seed)
+            batch = make_batch(
+                r.integers(0, 50, n), r.uniform(clock - 2.0, clock + 1.0, n),
+                np.full(n, OP_PROBE if probe else OP_STORE, dtype=np.int8),
+            )
+            q.push(batch)
+            live += list(zip(batch.keys.tolist(), batch.times.tolist(),
+                             batch.ops.tolist()))
+            disordered, tail = len(live), -np.inf
+        elif kind == "consume":
+            n = int(op[1] * len(live))
+            q.consume(n)
+            del live[:n]
+            disordered = max(disordered - n, 0)
+        elif kind == "extract":
+            keys = set(np.random.default_rng(op[1]).integers(0, 50, 5).tolist())
+            out = q.extract_keys(keys)
+            gone = sum(1 for k, _, _ in live if k in keys)
+            assert len(out) == gone
+            was_ordered = disordered == 0
+            live = [t for t in live if t[0] not in keys]
+            if live and gone:
+                if was_ordered:
+                    tail = live[-1][1]
+                else:
+                    disordered, tail = len(live), -np.inf
+        else:
+            q.clear()
+            live, disordered, tail = [], 0, -np.inf
+        if not live:
+            disordered = 0
+        times = [t for _, t, _ in live]
+        assert len(q) == len(live)
+        if q._monotonic:
+            assert times == sorted(times), "ordered flag on unordered times"
+        assert bool(q._monotonic) == (disordered == 0), (
+            "order must return exactly when the disordered region is served"
+        )
+        batch = q.peek_visible(peek_at, limit=limit)
+        cut = _reference_peek(times, peek_at, limit)
+        assert batch.keys.tolist() == [k for k, _, _ in live[:cut]]
+        assert batch.times.tolist() == times[:cut]
+        assert batch.ops.tolist() == [o for _, _, o in live[:cut]]
+
+
+def test_migrated_queue_regains_order_without_draining():
+    """A migration hand-off into a backlogged queue leaves it unordered
+    only until the handed-off tuples (and those queued before them) are
+    served — the queue never has to drain."""
+    q = TupleQueue()
+    q.push_block(np.arange(10, dtype=np.int64), 1.0, OP_PROBE)
+    q.push(make_batch([7, 8, 9], [0.5, 0.2, 0.9]))
+    assert not q._monotonic
+    q.push_block(np.arange(20, dtype=np.int64), 2.0, OP_PROBE)
+    q.consume(12)
+    assert not q._monotonic  # one handed-off tuple is still queued
+    q.consume(1)
+    assert q._monotonic and len(q) == 20

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -382,6 +384,52 @@ class TestBench:
         assert "ok" in capsys.readouterr().out
 
 
+class TestBenchJobsDefault:
+    """--check and --sentinel judge wall time only on serial runs, so they
+    default to --jobs 1; an explicit --jobs still wins."""
+
+    @pytest.fixture
+    def recorded_jobs(self, monkeypatch, tmp_path):
+        from repro.bench import perf, sentinel
+
+        seen = []
+
+        def fake_run_matrix(quick=False, progress=None, repeats=1, jobs=None):
+            seen.append(("matrix", jobs))
+            return {"cases": [], "jobs": jobs or 2}
+
+        def fake_check_sentinel(report, history, tolerance=None, jobs=None,
+                                baseline=None):
+            seen.append(("sentinel", jobs))
+            return SimpleNamespace(lines=[], warnings=[], failures=["stop"],
+                                   entry={})
+
+        monkeypatch.setattr(perf, "run_matrix", fake_run_matrix)
+        monkeypatch.setattr(perf, "format_report", lambda report: "")
+        monkeypatch.setattr(perf, "compare_reports", lambda *a, **k:
+                            SimpleNamespace(lines=[], warnings=[], failures=[]))
+        monkeypatch.setattr(perf, "load_report", lambda path: {"cases": []})
+        monkeypatch.setattr(sentinel, "check_sentinel", fake_check_sentinel)
+        monkeypatch.setattr(sentinel, "load_history",
+                            lambda path: {"entries": [{}]})
+        monkeypatch.chdir(tmp_path)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["--check", "--sentinel"])
+    def test_check_and_sentinel_default_to_one_job(self, recorded_jobs, mode):
+        main(["bench", "--quick", mode])
+        assert recorded_jobs and all(jobs == 1 for _, jobs in recorded_jobs)
+
+    @pytest.mark.parametrize("mode", ["--check", "--sentinel"])
+    def test_explicit_jobs_wins(self, recorded_jobs, mode):
+        main(["bench", "--quick", mode, "--jobs", "2"])
+        assert recorded_jobs and all(jobs == 2 for _, jobs in recorded_jobs)
+
+    def test_plain_bench_keeps_the_parallel_default(self, recorded_jobs):
+        main(["bench", "--quick"])
+        assert recorded_jobs == [("matrix", None)]
+
+
 class TestBenchProfileFlag:
     @pytest.mark.parametrize(
         "extra", [["--check"], ["--sentinel"], ["--update-baseline"]]
@@ -406,3 +454,19 @@ class TestBenchProfileFlag:
         out = capsys.readouterr().out
         assert "tiny/fake/1" in out
         assert "alloc B" in out
+
+    def test_profile_prints_the_service_sub_phases(self, monkeypatch, capsys):
+        """A real profiled run splits the service phase at the kernel
+        boundary: gather, kernel and fold each get a row."""
+        from repro.bench import perf
+
+        tiny = perf.BenchCase(
+            name="tiny/fastjoin", system="fastjoin", workload="ridehailing",
+            n_instances=2, duration=2.0, rate=2_000.0, seed=3, quick=True,
+        )
+        monkeypatch.setattr(perf, "BENCH_CASES", (tiny,))
+        assert main(["bench", "--profile", "--quick", "--no-alloc"]) == 0
+        out = capsys.readouterr().out
+        assert "tiny/fastjoin" in out
+        for phase in ("service.gather", "service.kernel", "service.fold"):
+            assert phase in out, phase
