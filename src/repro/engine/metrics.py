@@ -22,14 +22,7 @@ import numpy as np
 
 from ..attribution import close_decomposition
 from .arena import Arena
-from .columns import (
-    R_TAKE,
-    RF_LATENCY,
-    RF_MIGRATION,
-    RF_RECOVERY,
-    RF_RESULTS,
-    RF_SERVICE,
-)
+from .columns import R_TAKE
 
 __all__ = [
     "MetricsCollector",
@@ -400,7 +393,9 @@ class MetricsCollector:
                 comp_recovery=comp_recovery,
             )
 
-    def record_service_many(self, now: float, reports) -> tuple[float, float, float]:
+    def record_service_many(
+        self, now: float, reports
+    ) -> tuple[float, float, float, float, float]:
         """Record every instance's work for one tick ending at ``now``.
 
         Equivalent to calling :meth:`record_service` once per report in
@@ -411,9 +406,10 @@ class MetricsCollector:
         generator, so chunking the input differently does not change which
         random numbers each sample sees.
 
-        Returns the tick's attribution sums ``(service, migration_pause,
-        recovery_pause)`` so the runtime can stamp them onto the service
-        trace event without re-summing the reports.
+        Returns the tick's sums ``(results, latency, service,
+        migration_pause, recovery_pause)``, each added from 0.0 in report
+        order, so the runtime can stamp them onto the service trace event
+        without re-summing the reports.
 
         ``reports`` may also be a :class:`~repro.join.service.ServiceTable`
         after its pass: its report block is folded in column order with the
@@ -441,6 +437,8 @@ class MetricsCollector:
         # so those dict updates stay inside the loop.
         tick_processed = 0
         tick_results_int = 0
+        tick_results = 0.0
+        tick_lat = 0.0
         tick_lat_n = 0
         tick_lat_n_window = 0
         tick_sv = 0.0
@@ -452,11 +450,13 @@ class MetricsCollector:
             latencies = rep.latencies
             if n_processed:
                 tick_processed += int(n_processed)
+            tick_results += float(n_results)
             if n_results:
                 results_by_sec[sec] = results_by_sec.get(sec, 0.0) + float(n_results)
                 tick_results_int += int(round(n_results))
             if latencies is not None and latencies.size:
                 s = float(_sum(latencies))
+                tick_lat += s
                 lat_sum_by_sec[sec] = lat_sum_by_sec.get(sec, 0.0) + s
                 tick_lat_n += int(latencies.size)
                 ca = rep.comp_service
@@ -515,73 +515,50 @@ class MetricsCollector:
                 cat = self._arena.array("lat_cat", total, np.float64)
                 np.concatenate(lat_arrays, out=cat)
                 self._reservoir.add_many(cat)
-        return tick_sv, tick_mg, tick_rc
+        return tick_results, tick_lat, tick_sv, tick_mg, tick_rc
 
-    def _fold_table(self, now: float, table) -> tuple[float, float, float]:
+    def _fold_table(self, now: float, table):
         """:meth:`record_service_many` over a service table's report block.
 
         The per-report float additions happen in the same order on the
         same values: the pass summed each instance's latencies and
-        components with numpy's pairwise order (``np.add.reduce``), and a
-        zero sum still creates no per-second key.  The served latencies
-        are already concatenated in the block, so the reservoir reads them
-        in place.
+        components with numpy's pairwise order (``np.add.reduce``), the
+        table's :meth:`~repro.join.service.ServiceTable.fold` adds them in
+        column order, and a zero sum still creates no per-second key.  The
+        served latencies are already concatenated in the block, so the
+        reservoir reads them in place.
         """
         sec = int(now)
         self._max_time = max(self._max_time, now)
         in_window = now >= self._warmup
-        served = table.rep_i[R_TAKE] > 0
-        if not served.any():
-            return 0.0, 0.0, 0.0
-        take = table.rep_i[R_TAKE, served].tolist()
-        rf = table.rep_f[:, served].tolist()
-        n_take = 0
-        tick_results_int = 0
-        results = self._results.get(sec)
-        lat_sum = self._lat_sum.get(sec, 0.0)
-        lat_total = self._lat_total
-        for n, r, s in zip(take, rf[RF_RESULTS], rf[RF_LATENCY]):
-            n_take += n
-            if r:
-                results = (0.0 if results is None else results) + r
-                tick_results_int += int(round(r))
-            lat_sum += s
-            if in_window:
-                lat_total += s
-        if results is not None:
-            self._results[sec] = results
-        self._lat_sum[sec] = lat_sum
-        self._lat_total = lat_total
-        self._total_results += tick_results_int
-        ticks = []
-        for by_sec, sums in (
-            (self._comp_service, rf[RF_SERVICE]),
-            (self._comp_migration, rf[RF_MIGRATION]),
-            (self._comp_recovery, rf[RF_RECOVERY]),
-        ):
-            tick = 0.0
-            acc = by_sec.get(sec)
-            for v in sums:
-                if v:
-                    acc = (0.0 if acc is None else acc) + v
-                    tick += v
-            if acc is not None:
-                by_sec[sec] = acc
-            ticks.append(tick)
-        tick_sv, tick_mg, tick_rc = ticks
+        by_sec = (self._results, self._comp_service, self._comp_migration,
+                  self._comp_recovery)
+        running, tick, n_take, n_results = table.fold(
+            [self._results.get(sec), self._lat_sum.get(sec, 0.0),
+             self._lat_total, self._comp_service.get(sec),
+             self._comp_migration.get(sec), self._comp_recovery.get(sec)],
+            in_window,
+        )
+        if not n_take:
+            return 0.0, 0.0, 0.0, 0.0, 0.0
+        results, self._lat_sum[sec], self._lat_total, *comps = running
+        for d, value in zip(by_sec, (results, *comps)):
+            if value is not None:
+                d[sec] = value
+        self._total_results += n_results
         self._processed[sec] = self._processed.get(sec, 0) + n_take
         self._total_processed += n_take
         self._lat_cnt[sec] = self._lat_cnt.get(sec, 0) + n_take
         self._close_second(sec)
         if in_window:
-            self._comp_total_service += tick_sv
-            self._comp_total_migration += tick_mg
-            self._comp_total_recovery += tick_rc
+            self._comp_total_service += tick[2]
+            self._comp_total_migration += tick[3]
+            self._comp_total_recovery += tick[4]
             self._lat_total_n += n_take
             self._reservoir.add_many(table.lat[:n_take])
         obs = self.obs
         if obs is not None:
-            for slot in np.flatnonzero(served).tolist():
+            for slot in np.flatnonzero(table.rep_i[R_TAKE] > 0).tolist():
                 rep = table.report(slot)
                 obs.on_record_service(
                     now, rep.n_processed, rep.n_results, rep.latencies,
@@ -589,7 +566,7 @@ class MetricsCollector:
                     comp_migration=rep.comp_migration,
                     comp_recovery=rep.comp_recovery,
                 )
-        return tick_sv, tick_mg, tick_rc
+        return tuple(tick)
 
     def _close_second(self, sec: int) -> None:
         """Re-close one second's attribution identity against its sums.

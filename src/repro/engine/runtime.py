@@ -23,7 +23,6 @@ from ..join.dispatcher import Dispatcher
 from ..join.instance import JoinInstance
 from ..join.service import ServiceTable
 from .clock import SimClock
-from .columns import R_TAKE, RF_LATENCY, RF_RESULTS
 from .metrics import MetricsCollector, RunMetrics
 
 __all__ = ["StreamJoinRuntime"]
@@ -233,9 +232,9 @@ class StreamJoinRuntime:
         if prof is not None:
             t_mark = prof.now()
             a_mark = prof.mark_alloc()
-        comps = None
+        tick_sums = None
         if n_served:
-            comps = self.metrics.record_service_many(end, table)
+            tick_sums = self.metrics.record_service_many(end, table)
         if prof is not None:
             t_now = prof.now()
             prof.add(
@@ -245,18 +244,10 @@ class StreamJoinRuntime:
             t_mark = t_now
             a_mark = prof.mark_alloc()
         if obs is not None and n_served:
-            ri = table.rep_i
-            rf = table.rep_f
-            served = ri[R_TAKE] > 0
-            lat_sum = 0.0
-            tot_results = 0.0
-            for r, s in zip(rf[RF_RESULTS, served].tolist(),
-                            rf[RF_LATENCY, served].tolist()):
-                tot_results += r
-                lat_sum += s
+            tot_results, lat_sum, *comps = tick_sums
             obs.on_service_tick(
                 end, n_served, tot_results, lat_sum, n_served,
-                components=comps,
+                components=tuple(comps),
             )
 
         migrated = False

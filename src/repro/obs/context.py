@@ -182,9 +182,12 @@ class Observability:
 
         ``meta`` (system name, workload, seed...) is emitted as the trace's
         ``run_meta`` header event so ``inspect`` can label its report,
-        together with the kernel path (:func:`repro.engine.ckernels.describe`)
-        and ``service_kernel``, the service kernel the instances selected
-        (``"c"`` or ``"numpy"``; both, comma-joined, if they differ).
+        together with the kernel path (:func:`repro.engine.ckernels.describe`),
+        ``service_kernel``, the service kernel the instances selected
+        (``"c"`` or ``"numpy"``; both, comma-joined, if they differ), and
+        ``guards``, the invariant checks attached to the runtime
+        (:meth:`~repro.validate.invariants.InvariantGuards.describe`;
+        ``"none"`` without guards) — attach guards before the observer.
         """
         from ..engine import ckernels
 
@@ -210,6 +213,8 @@ class Observability:
                 service_kernel=",".join(sorted(
                     {inst.service_kernel for inst in runtime.instances}
                 )),
+                **(runtime.guards.describe() if runtime.guards is not None
+                   else {"guards": "none"}),
                 **(meta or {}),
             )
 

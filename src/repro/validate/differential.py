@@ -262,14 +262,6 @@ class DifferentialHarness:
         self.runtime = build_system(system, self.config, self.r_tap, self.s_tap)
         for inst in self.runtime.instances:
             inst.enable_result_tracking()
-        if obs is not None:
-            # Attach before the guards so a violation's ValidationError can
-            # capture the active trace's trailing events.
-            self.runtime.attach_observer(
-                obs,
-                meta={"system": system, "workload": workload, "seed": seed,
-                      "ticks": ticks},
-            )
         if guards:
             self.runtime.attach_guards(
                 InvariantGuards(
@@ -281,6 +273,15 @@ class DifferentialHarness:
                         "ticks": ticks,
                     },
                 )
+            )
+        if obs is not None:
+            # After the guards, so the trace's run_meta names them.  A
+            # violation's ValidationError still captures the trace's
+            # trailing events: the guards raise only from ticks.
+            self.runtime.attach_observer(
+                obs,
+                meta={"system": system, "workload": workload, "seed": seed,
+                      "ticks": ticks},
             )
         self.oracle = ExactBiclique(
             n_instances,

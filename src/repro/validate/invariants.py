@@ -46,7 +46,7 @@ the failure replays deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -182,6 +182,17 @@ class InvariantGuards:
         self._last_migration_time: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
+
+    def describe(self) -> dict:
+        """Which guards run, for run metadata: the enabled checks
+        (comma-joined, in :class:`GuardConfig` order) and their period."""
+        cfg = self.config
+        names = [
+            f.name for f in fields(cfg)
+            if f.name != "period" and getattr(cfg, f.name)
+        ]
+        return {"guards": ",".join(names) or "none",
+                "guard_period": cfg.period}
 
     def bind(self, runtime) -> None:
         """Called by ``runtime.attach_guards``; remembers the runtime."""

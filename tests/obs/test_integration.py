@@ -60,6 +60,29 @@ class TestTraceContents:
         want = "c" if ckernels.available() else "numpy"
         assert report.meta["service_kernel"] == want
 
+    def test_meta_records_no_guards(self, report):
+        """The experiment path attaches no invariant guards."""
+        assert report.meta["guards"] == "none"
+
+    def test_meta_records_the_guards(self):
+        """A differential run attaches every guard before the observer,
+        and its run_meta names them with their period."""
+        from repro.validate.differential import DifferentialHarness
+
+        obs = Observability.create(capture=True)
+        try:
+            DifferentialHarness("fastjoin", ticks=5, obs=obs, guard_period=3)
+        finally:
+            obs.close()
+        meta = next(e for e in obs.capture_sink.to_dicts()
+                    if e["kind"] == "run_meta")
+        assert meta["guards"].split(",") == [
+            "conservation", "colocation", "monotone_clock",
+            "nonnegative_load", "li_bounds", "hysteresis",
+            "deep_consistency", "recovery", "attribution",
+        ]
+        assert meta["guard_period"] == 3
+
     def test_close_detaches_active_trace(self, traced_run):
         assert active_trace() is None
 
