@@ -4,10 +4,11 @@ Real-world join attributes are skewed (paper Fig. 1: ~20% of locations
 carry ~80% of passenger orders).  This module provides:
 
 - :func:`zipf_probabilities` — truncated Zipf over a finite key universe;
-- :class:`KeySampler` — O(log n)-per-draw sampling from any probability
-  vector via inverse-CDF search, with an optional identity permutation so
-  hot keys are not the numerically smallest ids (which would otherwise
-  correlate key popularity with hash placement in artificial ways);
+- :class:`KeySampler` — inverse-CDF sampling from any probability vector
+  (a guide-table walk in C, ``searchsorted`` in numpy, the same ranks),
+  with an optional identity permutation so hot keys are not the
+  numerically smallest ids (which would otherwise correlate key
+  popularity with hash placement in artificial ways);
 - :func:`fit_zipf_exponent` — solve for the Zipf coefficient that puts a
   target probability share on a target fraction of keys (used to calibrate
   the ride-hailing generator to the paper's published 20%/80% statistic);
@@ -30,6 +31,9 @@ __all__ = [
     "fit_zipf_exponent",
     "top_share",
 ]
+
+#: the guide table holds int32 ranks, one bucket per key
+_GUIDE_MAX_KEYS = 1 << 31
 
 
 def zipf_probabilities(n_keys: int, exponent: float) -> np.ndarray:
@@ -176,11 +180,18 @@ class KeySampler:
             raise WorkloadError("probabilities must sum to a positive finite value")
         self._p = p / total
         self._cdf = np.cumsum(self._p)
+        # A cumsum can overshoot 1.0 before its last entry; clipping keeps
+        # the CDF nondecreasing once the last entry is pinned to 1.0, and
+        # changes no draw (every u < 1 compares the same against both).
+        np.minimum(self._cdf, 1.0, out=self._cdf)
         self._cdf[-1] = 1.0  # guard float drift
+        # The C draw's guide table, built on the first C draw (a drifting
+        # source's later phases never pay for it in set-up).
+        self._guide = None
         if key_ids is not None:
             if permute_with is not None:
                 raise WorkloadError("pass either key_ids or permute_with, not both")
-            ids = np.asarray(key_ids, dtype=np.int64)
+            ids = np.ascontiguousarray(key_ids, dtype=np.int64)
             if ids.shape != p.shape:
                 raise WorkloadError("key_ids must align with probabilities")
             self._ids = ids
@@ -207,9 +218,26 @@ class KeySampler:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         u = rng.random(n)
-        ranks = np.searchsorted(self._cdf, u, side="right")
-        ranks = np.minimum(ranks, self.n_keys - 1)
-        return self._ids[ranks]
+        # Imported here: the engine package imports the runtime, which
+        # imports this module.
+        from ..engine import ckernels as ck
+
+        # cdf[-1] == 1.0 > u, so every rank is < n_keys.
+        if ck.lib is None or self.n_keys >= _GUIDE_MAX_KEYS:
+            return self._ids[np.searchsorted(self._cdf, u, side="right")]
+        cdf = ck.ffi.from_buffer("double[]", self._cdf)
+        if self._guide is None:
+            self._guide = np.empty(self.n_keys, dtype=np.int32)
+            ck.lib.guide_build(cdf, self.n_keys,
+                               ck.ffi.from_buffer("int32_t[]", self._guide))
+        out = np.empty(n, dtype=np.int64)
+        ck.lib.guide_draw(
+            cdf, self.n_keys, ck.ffi.from_buffer("int32_t[]", self._guide),
+            ck.ffi.from_buffer("double[]", u), n,
+            ck.ffi.from_buffer("int64_t[]", self._ids),
+            ck.ffi.from_buffer("int64_t[]", out),
+        )
+        return out
 
 
 class DriftingSampler:

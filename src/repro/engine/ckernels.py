@@ -1,4 +1,5 @@
-"""Optional C kernel for the per-tick service pass (DESIGN §9).
+"""Optional C kernels for the per-tick service pass, the key draws and
+the dispatch (DESIGN §9).
 
 The hot path's cost is dominated by *dispatch*: a service chunk is a few
 dozen tuples, so the fixed cost of every numpy call and every Python
@@ -23,14 +24,26 @@ instance of a runtime, on the service table's struct of arrays
   running per-second values, in column order.
 
 :class:`repro.join.service.ServiceTable` wraps them and chooses between
-them and its numpy reference once.  The kernel is built lazily with cffi
-against the system C compiler and cached under the user's temp directory,
-keyed by a hash of the source; a build is attempted at most once per
-process.  Everything degrades gracefully: if cffi or a compiler is missing
-(or ``REPRO_NO_CKERNELS`` is set), ``lib`` stays ``None`` and the numpy
-reference serves.  The C code replicates the numpy reference's operations
-in the same order, so what it serves is bit-identical —
-``tests/engine/test_ckernels.py`` asserts exactly that.
+them and its numpy reference once.  The path from source to queue has two
+more (DESIGN §9, "From source to queue in C"):
+
+- ``guide_build``/``guide_draw``: :class:`repro.data.distributions.KeySampler`'s
+  inverse-CDF draw through a guide table, the ranks of
+  ``np.searchsorted(cdf, u, side="right")``;
+- ``dispatch_batch``: one dispatched batch routed and appended at the
+  tails of its destination rings, through the ring addresses and queue
+  cursors of the service table
+  (:meth:`repro.join.dispatcher.Dispatcher.bind_table`).
+
+The kernels are built lazily with cffi against the system C compiler and
+cached under the user's temp directory, keyed by a hash of the source; a
+build is attempted at most once per process.  Everything degrades
+gracefully: if cffi or a compiler is missing (or ``REPRO_NO_CKERNELS`` is
+set), ``lib`` stays ``None`` and the numpy references serve.  The C code
+replicates the numpy references' operations in the same order, so its
+results are bit-identical — ``tests/engine/test_ckernels.py``,
+``tests/data/test_key_draws.py`` and ``tests/join/test_dispatch_kernel.py``
+assert exactly that.
 
 Ownership contract for the same-key counter table: all-zero on entry,
 restored to all-zero before each chunk's correction returns, so one
@@ -529,6 +542,136 @@ void service_fold(int64_t lo, int64_t hi, int64_t w, const int64_t *RI,
     n[0] = served;
     n[1] = rounded;
 }
+
+/* Inverse-CDF draws through a guide table (Chen & Asau), one bucket per
+ * key: guide[j] is the first rank whose CDF value exceeds j/n, built in
+ * one linear pass. */
+void guide_build(const double *cdf, int64_t n, int32_t *guide)
+{
+    int64_t i = 0, j;
+    for (j = 0; j < n; j++) {
+        double x = (double)j / (double)n;
+        while (i < n - 1 && cdf[i] <= x) i++;
+        guide[j] = (int32_t)i;
+    }
+}
+
+/* rank[t] = searchsorted(cdf, u[t], side="right") for a nondecreasing
+ * cdf and finite u: from the bucket's start rank, walk back while
+ * cdf[i-1] > u and forward while cdf[i] <= u.  The walk ends at that rank
+ * whatever the guide holds; the guide only makes it short.  out[t] is
+ * ids[rank] (the caller guarantees rank < n, i.e. u < cdf[n-1]) or, with
+ * ids NULL, the rank itself. */
+void guide_draw(const double *cdf, int64_t n, const int32_t *guide,
+                const double *u, int64_t m, const int64_t *ids, int64_t *out)
+{
+    double scale = (double)n;
+    int64_t t;
+    for (t = 0; t < m; t++) {
+        double x = u[t], y = x * scale;
+        int64_t i = y < 1.0 ? 0 : y >= scale ? n - 1 : (int64_t)y;
+        i = guide[i];
+        while (i > 0 && cdf[i - 1] > x) i--;
+        while (i < n && cdf[i] <= x) i++;
+        out[t] = ids ? ids[i] : i;
+    }
+}
+
+/* One dispatched batch into the instance rings.  Side 0 (the stream's
+ * stores) routes key k to destination routes0[k], side 1 (its probes) to
+ * routes1[k]; destination c (side 0: c = d, side 1: c = k0 + d) is table
+ * column slots[c].  Each destination's tuples are appended at its ring's
+ * tail in batch order with visible-time t0/t1 and op store/probe, and its
+ * queue cursors move as TupleQueue.push_block moves them: size, probe
+ * backlog, the in-order tail time or the disorder watermark, key bounds.
+ * Nothing is written unless every destination's ring has room and its
+ * pointers are current; otherwise each refused destination is flagged in
+ * row DS_FLAG of `scratch` (with its tuple count in row DS_CNT) and the
+ * number of refusals is returned (0: delivered; -1: a route outside its
+ * group, nothing written).  `scratch` holds
+ * DS_NROW rows of k0 + k1 columns. */
+int64_t dispatch_batch(const int64_t *keys, int64_t n,
+                       const int64_t *routes0, const int64_t *routes1,
+                       const int64_t *slots, int64_t k0, int64_t k1,
+                       double t0, double t1, int64_t w, int64_t *I,
+                       double *F, int64_t *scratch)
+{
+    int64_t kt = k0 + k1, c, j, refused = 0;
+    int64_t *cnt = scratch + DS_CNT * kt, *flag = scratch + DS_FLAG * kt;
+    int64_t *klo = scratch + DS_LO * kt, *khi = scratch + DS_HI * kt;
+    int64_t *pos = scratch + DS_POS * kt;
+    int64_t *pk = scratch + DS_KEYS * kt, *pt = scratch + DS_TIMES * kt;
+    int64_t *po = scratch + DS_OPS * kt;
+    const int64_t *routes[2];
+    int s;
+    routes[0] = routes0;
+    routes[1] = routes1;
+    for (c = 0; c < kt; c++) {
+        cnt[c] = flag[c] = 0;
+        klo[c] = INT64_MAX;
+        khi[c] = INT64_MIN;
+    }
+    for (s = 0; s < 2; s++) {
+        const int64_t *r = routes[s];
+        int64_t b = s ? k0 : 0, ks = s ? k1 : k0;
+        for (j = 0; j < n; j++) {
+            int64_t k = keys[j], d = r[k];
+            if ((uint64_t)d >= (uint64_t)ks) return -1;
+            d += b;
+            cnt[d]++;
+            if (k < klo[d]) klo[d] = k;
+            if (k > khi[d]) khi[d] = k;
+        }
+    }
+    for (c = 0; c < kt; c++) {
+        int64_t i = slots[c];
+        if (cnt[c] && (QI(Q_GEN, i) != IX(I_QGEN_SEEN, i)
+                       || QI(Q_SIZE, i) + cnt[c] > QI(Q_CAP, i))) {
+            flag[c] = 1;
+            refused++;
+        }
+    }
+    if (refused) return refused;
+    for (c = 0; c < kt; c++) {
+        int64_t i = slots[c];
+        if (!cnt[c]) continue;
+        pos[c] = (QI(Q_HEAD, i) + QI(Q_SIZE, i)) % QI(Q_CAP, i);
+        pk[c] = IX(I_P_KEYS, i);
+        pt[c] = IX(I_P_TIMES, i);
+        po[c] = IX(I_P_OPS, i);
+    }
+    for (s = 0; s < 2; s++) {
+        const int64_t *r = routes[s];
+        int64_t b = s ? k0 : 0;
+        double t = s ? t1 : t0;
+        signed char op = (signed char)s;   /* OP_STORE 0, OP_PROBE 1 */
+        for (j = 0; j < n; j++) {
+            int64_t k = keys[j], d = b + r[k], p = pos[d], i = slots[d];
+            ((int64_t *)(intptr_t)pk[d])[p] = k;
+            ((double *)(intptr_t)pt[d])[p] = t;
+            ((signed char *)(intptr_t)po[d])[p] = op;
+            pos[d] = ++p == QI(Q_CAP, i) ? 0 : p;
+        }
+    }
+    for (c = 0; c < kt; c++) {
+        int64_t i = slots[c], size;
+        double t = c < k0 ? t0 : t1;
+        if (!cnt[c]) continue;
+        size = QI(Q_SIZE, i) + cnt[c];
+        QI(Q_SIZE, i) = size;
+        if (c >= k0) QI(Q_PROBES, i) += cnt[c];
+        if (t < FX(F_QUEUE + QF_TAIL, i)) {
+            QI(Q_ORDERED, i) = 0;
+            QI(Q_MARK, i) = QI(Q_CONSUMED, i) + size;
+            FX(F_QUEUE + QF_TAIL, i) = -INFINITY;
+        } else {
+            FX(F_QUEUE + QF_TAIL, i) = t;
+        }
+        if (klo[c] < QI(Q_KEY_LO, i)) QI(Q_KEY_LO, i) = klo[c];
+        if (khi[c] > QI(Q_KEY_HI, i)) QI(Q_KEY_HI, i) = khi[c];
+    }
+    return 0;
+}
 """
 
 _CDEF = """
@@ -544,6 +687,14 @@ int64_t service_tick(int64_t lo, int64_t hi, int64_t w, double *F,
 void service_fold(int64_t lo, int64_t hi, int64_t w, const int64_t *RI,
                   const double *RF, int in_window, double *v, int64_t *has,
                   double *tick, int64_t *n);
+void guide_build(const double *cdf, int64_t n, int32_t *guide);
+void guide_draw(const double *cdf, int64_t n, const int32_t *guide,
+                const double *u, int64_t m, const int64_t *ids, int64_t *out);
+int64_t dispatch_batch(const int64_t *keys, int64_t n,
+                       const int64_t *routes0, const int64_t *routes1,
+                       const int64_t *slots, int64_t k0, int64_t k1,
+                       double t0, double t1, int64_t w, int64_t *I,
+                       double *F, int64_t *scratch);
 """
 
 _MODULE = "_repro_ckernels"

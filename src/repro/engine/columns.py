@@ -138,6 +138,20 @@ FL_REC = 512      # the report carries recovery-pause overlaps
 #: workload comes close) take the numpy correction.
 PSK_CAP = 1 << 21
 
+# --------------------------------------------------------------------- #
+# the dispatcher's scratch block (one column per destination)
+# --------------------------------------------------------------------- #
+
+DS_CNT = 0       # tuples routed to the destination
+DS_FLAG = 1      # 1: refused (ring full or its pointers stale)
+DS_LO = 2        # the batch's key bounds at the destination
+DS_HI = 3
+DS_POS = 4       # ring write position
+DS_KEYS = 5      # ring array addresses
+DS_TIMES = 6
+DS_OPS = 7
+DS_NROW = 8
+
 
 def column_field(column: str, row: int, doc: str) -> property:
     """A property reading and writing ``self.<column>[row]``.

@@ -69,8 +69,10 @@ class StreamJoinRuntime:
             self.dispatcher.groups["R"] + self.dispatcher.groups["S"]
         )
         # The struct of arrays the per-tick service pass runs over; it
-        # adopts the instances' scalars (DESIGN §9).
+        # adopts the instances' scalars (DESIGN §9), and the dispatcher
+        # writes into its queue rings.
         self._service = ServiceTable(self._instances)
+        self.dispatcher.bind_table(self._service)
         # Optional invariant guards (repro.validate.invariants).  None by
         # default: the only steady-state cost of the hook is one ``is not
         # None`` test per tick, so benchmarks are unaffected unless a
@@ -153,6 +155,7 @@ class StreamJoinRuntime:
             self.dispatcher.groups["R"] + self.dispatcher.groups["S"]
         )
         self._service = ServiceTable(self._instances)
+        self.dispatcher.bind_table(self._service)
         self._qlen_valid = False
 
     # ------------------------------------------------------------------ #
@@ -193,13 +196,21 @@ class StreamJoinRuntime:
             throttled = any(
                 len(inst.queue) > cap for inst in self._instances
             )
-        n_emitted = 0
         if throttled:
             self.throttled_ticks += 1
         else:
             r_keys = self.r_source.emit(dt)
             s_keys = self.s_source.emit(dt)
-            n_emitted = int(r_keys.shape[0] + s_keys.shape[0])
+            if prof is not None:
+                t_now = prof.now()
+                prof.add(
+                    "emit", t_now - t_mark,
+                    work=int(r_keys.shape[0] + s_keys.shape[0]),
+                    alloc=prof.alloc_since(a_mark),
+                )
+                t_mark = t_now
+                a_mark = prof.mark_alloc()
+                n_sent = self.dispatcher.stats.messages
             if r_keys.shape[0]:
                 extra = (
                     faults.dispatch_extra_delay("R", now, self.tick_index)
@@ -212,14 +223,13 @@ class StreamJoinRuntime:
                     if faults is not None else 0.0
                 )
                 self.dispatcher.dispatch("S", s_keys, now, extra_delay=extra)
-        if prof is not None:
-            t_now = prof.now()
-            prof.add(
-                "dispatch", t_now - t_mark, work=n_emitted,
-                alloc=prof.alloc_since(a_mark),
-            )
-            t_mark = t_now
-            a_mark = prof.mark_alloc()
+            if prof is not None:
+                t_now = prof.now()
+                prof.add(
+                    "dispatch", t_now - t_mark,
+                    work=self.dispatcher.stats.messages - n_sent,
+                    alloc=prof.alloc_since(a_mark),
+                )
 
         # The service pass (repro.join.service.ServiceTable): every
         # instance served in one pass, then one fold of its report block.

@@ -15,16 +15,27 @@ dispatch the tuples to the right join instances".
 
 Routing is batched end to end.  For a content-based side the dispatcher
 keeps a cached dense ``key -> instance`` route array that already folds in
-the routing-table overrides; resolving a tick's batch is then one fancy
-index instead of re-hashing every key on every call.  The cache is
-invalidated only when the routing table's ``version`` changes — i.e. when
-a migration actually installs or removes overrides — or when a new key id
-exceeds the cached range.  Delivery groups the batch by destination with a
-stable counting scatter (O(n + k); the destination domain is the group
-size, k <= 32) and hands each join instance a contiguous key block with
-scalar visible-time/op metadata.  All scatter temporaries live in a
-dispatcher-owned scratch arena, so a steady-state dispatch allocates
-nothing (DESIGN §9).
+the routing-table overrides; resolving a tick's batch is then one gather
+instead of re-hashing every key on every call.  The cache is invalidated
+only when the routing table's ``version`` changes — i.e. when a migration
+actually installs or removes overrides — or when a new key id exceeds the
+cached range.
+
+Delivery has two paths with identical results (DESIGN §9).  When both
+sides are content-based and the runtime has bound its service table
+(:meth:`Dispatcher.bind_table`), one C call per batch
+(``dispatch_batch`` in :mod:`repro.engine.ckernels`) gathers both sides'
+routes, counts each destination's tuples and key bounds, and appends the
+keys, in batch order, straight at the tail of each destination's ring,
+moving the queue cursors the table already holds.  A destination whose
+ring is full or was reallocated refuses the whole call; the queue grows
+by :meth:`TupleQueue.push_block`'s rule, the table refreshes its
+pointers, and the call is retried.  Everything else — no C kernels,
+broadcast or subgroup partitioners, keys outside the route cache, a
+dispatcher with no table — is the numpy reference: a stable counting
+scatter (:func:`counting_blocks`) handing each join instance a contiguous
+key block with scalar visible-time/op metadata, every temporary in a
+dispatcher-owned scratch arena.
 
 Dispatch latency models the network: tuples become visible at the target
 queue ``delay`` seconds after emission, with the delay growing with group
@@ -39,10 +50,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.routing import RoutingTable
+from ..engine import ckernels as _ck
 from ..engine.arena import Arena
+from ..engine.columns import DS_CNT, DS_FLAG, DS_NROW
 from ..engine.rng import hash_to_instance
 from ..engine.tuples import OP_PROBE, OP_STORE
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from .instance import JoinInstance
 from .partitioners import Partitioner
 
@@ -77,10 +90,9 @@ def counting_blocks(dest, keys, k, arena):
     itself rides an *in-place* sort of the composite ``dest << 32 | i``:
     the index in the low bits makes every composite unique, so the
     sorted order equals the stable-by-destination order bit-for-bit and
-    no stable (allocating) argsort is needed.  Measured against the old
-    stable argsort this is 2-3x faster at realistic batch sizes and
-    allocation-free; a true O(n + k) per-destination placement loses to
-    numpy's per-call ufunc overhead (DESIGN §9).
+    no stable (allocating) argsort is needed.  This is the numpy
+    reference of the dispatch; the C dispatch places each key at its
+    destination ring's tail in one O(n + k) pass instead (DESIGN §9).
 
     Blocks alias arena scratch: they are valid until the next call with
     the same arena, and callers must copy anything they retain.
@@ -207,6 +219,38 @@ class Dispatcher:
         self._arena = Arena()
         # Optional observability bundle (repro.obs); one test per dispatch.
         self.obs = None
+        # The service table the C dispatch writes into (bind_table).
+        self._table = None
+
+    def bind_table(self, table) -> None:
+        """Deliver content-based batches straight into the rings of
+        ``table`` (a :class:`~repro.join.service.ServiceTable` over both
+        groups) with the C dispatch; ``None`` or a table that does not
+        hold every instance of both groups leaves the numpy reference."""
+        self._table = None
+        if table is None or _ck.lib is None:
+            return
+        groups = self.groups
+        if any(inst._table is not table
+               for side in ("R", "S") for inst in groups[side]):
+            return
+        ffi = _ck.ffi
+        self._scratch = np.zeros(
+            (DS_NROW, len(groups["R"]) + len(groups["S"])), dtype=np.int64
+        )
+        self._slots = {}
+        for own in ("R", "S"):
+            slots = np.array(
+                [inst._slot for inst in groups[own] + groups[opposite(own)]],
+                dtype=np.int64,
+            )
+            self._slots[own] = (slots, ffi.from_buffer("int64_t[]", slots))
+        self._c_table = (
+            ffi.from_buffer("int64_t[]", table.ints),
+            ffi.from_buffer("double[]", table.floats),
+            ffi.from_buffer("int64_t[]", self._scratch),
+        )
+        self._table = table
 
     # ------------------------------------------------------------------ #
     # route cache
@@ -231,12 +275,10 @@ class Dispatcher:
         self._route_version[side] = table.version
         return routes
 
-    def _routed_targets(self, side: str, keys: np.ndarray, max_key: int) -> np.ndarray:
-        """Cached content-based routing for a batch (fanout-1 sides).
-
-        ``max_key`` is the batch's precomputed maximum; the caller has
-        already verified every key is in ``[0, _ROUTE_CACHE_CAP)``.
-        """
+    def _route_array(self, side: str, max_key: int) -> np.ndarray:
+        """The side's cached route array, rebuilt when the routing table
+        moved on or ``max_key`` lies past it; the caller has verified
+        every key is in ``[0, _ROUTE_CACHE_CAP)``."""
         routes = self._routes[side]
         if (
             routes is None
@@ -244,6 +286,15 @@ class Dispatcher:
             or max_key >= routes.shape[0]
         ):
             routes = self._rebuild_routes(side, max_key + 1)
+        return routes
+
+    def _routed_targets(self, side: str, keys: np.ndarray, max_key: int) -> np.ndarray:
+        """Cached content-based routing for a batch (fanout-1 sides).
+
+        ``max_key`` is the batch's precomputed maximum; the caller has
+        already verified every key is in ``[0, _ROUTE_CACHE_CAP)``.
+        """
+        routes = self._route_array(side, max_key)
         # Gather into arena scratch instead of allocating a fresh dest
         # array per dispatch.  The caller has bounds-checked every key, so
         # mode="clip" never clips — it just skips take's buffered
@@ -252,6 +303,34 @@ class Dispatcher:
         dest = self._arena.array("routed", keys.shape[0], np.int64)
         np.take(routes, keys, out=dest, mode="clip")
         return dest
+
+    def _deliver(self, own: str, keys: np.ndarray, max_key: int,
+                 t_own: float, t_other: float) -> None:
+        """The C dispatch of a content-based batch: stores into ``own``'s
+        rings, probes into the other side's, retried after making room
+        (module docstring)."""
+        other = opposite(own)
+        ffi, lib = _ck.ffi, _ck.lib
+        c_keys = ffi.from_buffer("int64_t[]", np.ascontiguousarray(keys))
+        c_own = ffi.from_buffer("int64_t[]", self._route_array(own, max_key))
+        c_other = ffi.from_buffer("int64_t[]", self._route_array(other, max_key))
+        slots, c_slots = self._slots[own]
+        k0 = len(self.groups[own])
+        k1 = len(self.groups[other])
+        c_ints, c_floats, c_scratch = self._c_table
+        table = self._table
+        while True:
+            refused = lib.dispatch_batch(
+                c_keys, keys.shape[0], c_own, c_other, c_slots, k0, k1,
+                t_own, t_other, table.width, c_ints, c_floats, c_scratch,
+            )
+            if refused == 0:
+                return
+            if refused < 0:
+                raise SimulationError("route outside its instance group")
+            scratch = self._scratch
+            for c in np.flatnonzero(scratch[DS_FLAG, : k0 + k1]).tolist():
+                table.make_room(int(slots[c]), int(scratch[DS_CNT, c]))
 
     # ------------------------------------------------------------------ #
 
@@ -296,8 +375,15 @@ class Dispatcher:
         max_key = int(keys.max())
         cacheable = min_key >= 0 and max_key < _ROUTE_CACHE_CAP
 
-        # --- store path -------------------------------------------------- #
         part_own = self.partitioners[own]
+        part_other = self.partitioners[other]
+        if (self._table is not None and cacheable and part_own.content_based
+                and part_other.content_based):
+            self._deliver(own, keys, max_key, t_own, t_other)
+            self._account(stream, keys, n, emit_time, t_own, t_other)
+            return
+
+        # --- store path -------------------------------------------------- #
         if part_own.content_based and cacheable:
             store_dest = self._routed_targets(own, keys, max_key)
         else:
@@ -305,11 +391,8 @@ class Dispatcher:
             if part_own.content_based:
                 store_dest = self.routing[own].apply(keys, store_dest)
         self._scatter(own, store_dest, keys, t_own, OP_STORE)
-        self.stats.stores_sent += n
-        self.stats.stores_to_side[own] += n
 
         # --- probe path --------------------------------------------------- #
-        part_other = self.partitioners[other]
         if part_other.probe_broadcast:
             # Every instance receives the whole batch in key order — the
             # stable dest-sort of the replicated (dest, src) arrays reduces
@@ -331,6 +414,15 @@ class Dispatcher:
                 probe_dest = self.routing[other].apply(probe_keys, probe_dest)
             self._scatter(other, probe_dest, probe_keys, t_other, OP_PROBE)
             n_probes = int(probe_keys.shape[0])
+        self._account(stream, keys, n_probes, emit_time, t_own, t_other)
+
+    def _account(self, stream: str, keys: np.ndarray, n_probes: int,
+                 emit_time: float, t_own: float, t_other: float) -> None:
+        """Message and delay accounting of one delivered batch."""
+        own, other = stream, opposite(stream)
+        n = keys.shape[0]
+        self.stats.stores_sent += n
+        self.stats.stores_to_side[own] += n
         self.stats.probes_sent += n_probes
         self.stats.probes_to_side[other] += n_probes
         # Delay charged to this batch: every delivered operation becomes

@@ -497,6 +497,15 @@ class ServiceTable:
                 ints[I_ROW_LEN, slot] = row.shape[0]
             ints[I_SGEN_SEEN, slot] = keyed._si[S_GEN]
 
+    def make_room(self, slot: int, n: int) -> None:
+        """Grow column ``slot``'s queue for ``n`` more tuples when it lacks
+        the room (:meth:`TupleQueue.push_block`'s rule) and refresh its
+        pointers: what the C dispatch asks for when it refuses."""
+        q = self.instances[slot].queue
+        if len(q) + n > q.capacity:
+            q._grow(n)
+        self._take_pointers(slot, slot + 1)
+
     # -- the pass -------------------------------------------------------- #
 
     def run(self, now: float, dt: float, lo: int = 0, hi: int | None = None,

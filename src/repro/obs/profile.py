@@ -2,8 +2,9 @@
 
 Before optimising a hot path we must be able to see it.  The
 :class:`PhaseProfiler` attributes three quantities to each runtime phase —
-``dispatch`` (source emission + routing), the service pass split at its
-kernel boundary (``service.gather``: visibility cuts, staging and the
+``emit`` (the sources' key draws), ``dispatch`` (routing and the scatter
+into the instance queues), the service pass split at its kernel
+boundary (``service.gather``: visibility cuts, staging and the
 stored-count gather; ``service.kernel``: the service kernel and its rare
 paths; ``service.fold``: the metrics fold of the tick's report block),
 ``monitor`` (load sampling / trigger logic) and ``migrate`` (the
@@ -11,9 +12,10 @@ migration protocol, a sub-interval of ``monitor``):
 
 - **wall seconds** — real ``perf_counter`` time spent in the phase, which
   is what a perf PR optimises;
-- **work units** — the simulator's own cost currency (tuples dispatched,
-  work-units served, tuples moved), which normalises wall time into
-  seconds-per-unit so runs of different scales compare;
+- **work units** — the simulator's own cost currency (tuples emitted,
+  operations delivered, work-units served, tuples moved), which
+  normalises wall time into seconds-per-unit so runs of different
+  scales compare;
 - **alloc bytes** — tracemalloc high-water delta over the phase, the
   observable for the zero-allocation steady-state contract (DESIGN §9).
   Off by default: tracemalloc slows every allocation down, so the
@@ -35,7 +37,7 @@ __all__ = ["PhaseProfiler", "PhaseStats", "RUNTIME_PHASES"]
 
 #: phases the runtime attributes (``migrate`` nests inside ``monitor``)
 RUNTIME_PHASES = (
-    "dispatch", "service.gather", "service.kernel", "service.fold",
+    "emit", "dispatch", "service.gather", "service.kernel", "service.fold",
     "monitor", "migrate",
 )
 

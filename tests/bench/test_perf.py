@@ -287,7 +287,7 @@ class TestRunProfile:
         entry = out[case.name]
         phases = entry["phases"]
         # The service phase is split at the kernel boundary.
-        for name in ("dispatch", "service.gather", "service.kernel",
+        for name in ("emit", "dispatch", "service.gather", "service.kernel",
                      "service.fold", "monitor"):
             assert name in phases, name
             assert phases[name]["calls"] > 0
@@ -295,7 +295,7 @@ class TestRunProfile:
         assert phases["service.kernel"]["work_units"] > 0
         assert phases["service.gather"]["work_units"] > 0
         # tracemalloc was live: the phases carry allocation attribution
-        assert phases["dispatch"]["alloc_bytes"] > 0
+        assert phases["emit"]["alloc_bytes"] > 0
         assert "alloc B" in entry["_profiler"].summary()
 
     def test_alloc_tracking_can_be_disabled(self):

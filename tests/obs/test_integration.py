@@ -198,7 +198,7 @@ class TestRegistryAndProfiler:
     def test_profiler_attributed_all_phases(self, traced_run):
         _, obs, _ = traced_run
         report = obs.profiler.report()
-        for phase in ("dispatch", "service.gather", "service.kernel",
+        for phase in ("emit", "dispatch", "service.gather", "service.kernel",
                       "service.fold", "monitor", "migrate"):
             assert phase in report, phase
             assert report[phase]["wall_s"] >= 0.0

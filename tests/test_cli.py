@@ -470,3 +470,23 @@ class TestBenchProfileFlag:
         assert "tiny/fastjoin" in out
         for phase in ("service.gather", "service.kernel", "service.fold"):
             assert phase in out, phase
+
+    def test_profile_prints_emit_and_dispatch(self, monkeypatch, capsys):
+        """Source emission and dispatch are separate phases with their own
+        work: tuples emitted, and operations delivered (a store and one
+        probe per tuple under hash partitioning)."""
+        from repro.bench import perf
+
+        tiny = perf.BenchCase(
+            name="tiny/bistream", system="bistream", workload="ridehailing",
+            n_instances=2, duration=2.0, rate=2_000.0, seed=3, quick=True,
+        )
+        monkeypatch.setattr(perf, "BENCH_CASES", (tiny,))
+        phases = perf.run_profile(quick=True, alloc=False)[tiny.name]["phases"]
+        emitted = phases["emit"]["work_units"]
+        assert emitted > 0
+        assert phases["dispatch"]["work_units"] == 2 * emitted
+        assert main(["bench", "--profile", "--quick", "--no-alloc"]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.strip()]
+        assert "emit" in rows and "dispatch" in rows
